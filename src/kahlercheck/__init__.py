@@ -13,8 +13,8 @@ from .extensions import (CentralExtension, ExtensionClass,
                          canonical_class2_extension, class_and_torsion,
                          pushout_extension, recognize_extension,
                          section_search)
-from .homology import (cup_injectivity_check, cup_product, fox_derivatives,
-                       h1, h1_cocycle_basis, h1_parity_check, one_cocycle)
+from .homology import (cup_injectivity_check, cup_product, h1,
+                       h1_cocycle_basis, h1_parity_check, one_cocycle)
 from .intlinalg import (AbelianStructure, IntMatrix, SNFResult, cokernel,
                         smith_normal_form, solve_integer, solve_rational)
 from .lieranks import (BudgetExceededError, GradedRanks, TruncatedSeries,

@@ -56,6 +56,11 @@ def _test_record(name, criterion, verdict, witness):
             "witness": _jsonable(witness)}
 
 
+def _over_budget(e):
+    return {"reason": "budget exceeded", "required": e.required,
+            "budget": e.budget}
+
+
 def _overall(tests, fire_verdict):
     if any(t["verdict"] == fire_verdict for t in tests):
         return fire_verdict
@@ -98,8 +103,7 @@ def analyze(block, max_degree=3, dim_budget=DEFAULT_DIM_BUDGET,
         except BudgetExceededError as e:
             tests.append(_test_record(
                 "formality", _FORMALITY_CRITERION, INCONCLUSIVE,
-                {"reason": "budget exceeded", "required": e.required,
-                 "budget": e.budget}))
+                _over_budget(e)))
 
     try:
         rep = extensions.abelianization_obstruction(p, dim_budget)
@@ -121,18 +125,18 @@ def analyze(block, max_degree=3, dim_budget=DEFAULT_DIM_BUDGET,
     except BudgetExceededError as e:
         tests.append(_test_record(
             "abelianization_class", _ABELIANIZATION_CRITERION, INCONCLUSIVE,
-            {"reason": "budget exceeded", "required": e.required,
-             "budget": e.budget}))
+            _over_budget(e)))
 
     if block.central_names:
         try:
-            tests.append(_extension_record(p, block.central_names,
-                                           assert_maximal, dim_budget))
+            E = extensions.recognize_extension(p, list(block.central_names),
+                                               dim_budget=dim_budget)
+            cls = extensions.class_and_torsion(E)
+            tests.append(_extension_record(E, cls, assert_maximal))
         except BudgetExceededError as e:
             tests.append(_test_record(
                 "central_extension", _EXTENSION_CRITERION, INCONCLUSIVE,
-                {"reason": "budget exceeded", "required": e.required,
-                 "budget": e.budget}))
+                _over_budget(e)))
 
     return tests
 
@@ -145,6 +149,8 @@ _ABELIANIZATION_CRITERION = (
 _EXTENSION_CRITERION = (
     "a maximal surjection of a Kahler group onto a surface group of genus "
     ">= 2 has torsion splitting obstruction")
+_EXTENSION_CLASS_CRITERION = ("splitting obstruction of the designated "
+                              "central extension")
 _PARITY_HOM_CRITERION = ("image, kernel and cokernel of the H1 map induced "
                          "by a Kahler homomorphism have even rank")
 _STRICTNESS_CRITERION = ("a Kahler homomorphism strictly preserves the "
@@ -153,14 +159,12 @@ _DERIVED_CRITERION = ("a Kahler homomorphism into the derived subgroup "
                       "induces the zero map on Malcev Lie algebras")
 
 
-def _extension_record(p, central_names, assert_maximal,
-                      dim_budget=DEFAULT_DIM_BUDGET):
-    E = extensions.recognize_extension(p, list(central_names),
-                                       dim_budget=dim_budget)
-    cls = extensions.class_and_torsion(E)
+def _extension_record(E, cls, assert_maximal):
+    """The surface-base obstruction for a recognized extension E with
+    splitting class cls."""
     genus = surface_genus(E.base)
     witness = {
-        "central": list(central_names),
+        "central": list(E.central_names),
         "class_vectors": [list(v) for v in cls.vectors],
         "class_verdict": cls.verdict,
         "order": cls.order,
@@ -169,7 +173,7 @@ def _extension_record(p, central_names, assert_maximal,
         "certificate": cls.certificate,
     }
     if genus is not None and genus >= 2 and cls.verdict == "non_torsion":
-        b1 = homology.h1(p).rank
+        b1 = homology.h1(E.total).rank
         if assert_maximal:
             maximality = "asserted"
         elif b1 == 2 * genus:
@@ -397,11 +401,31 @@ def cmd_ext(args):
         raise InputError("no central generators: give --central or a "
                          "'central:' clause in the file")
     try:
-        E = extensions.recognize_extension(block.presentation, central)
+        E = extensions.recognize_extension(block.presentation, central,
+                                           dim_budget=args.dim_budget)
         cls = extensions.class_and_torsion(E)
+    except BudgetExceededError as e:
+        witness = _over_budget(e)
+        tests = [_test_record("extension_class", _EXTENSION_CLASS_CRITERION,
+                              INCONCLUSIVE, witness),
+                 _test_record("central_extension", _EXTENSION_CRITERION,
+                              INCONCLUSIVE, witness)]
     except (extensions.ExtensionShapeError, KeyError, ValueError) as e:
         raise InputError(str(e))
-    scan_limit = args.scan_n
+    else:
+        tests = [_extension_class_record(E, cls, args.scan_n),
+                 _extension_record(E, cls, args.assert_maximal)]
+    report = build_report(args.file, data, tests, _overall(tests, NOT_KAHLER),
+                          args.seed, _parameters(args),
+                          extra={"group": block.presentation.name})
+    sys.stdout.write(emit_report(report, args.format))
+    return 0
+
+
+def _extension_class_record(E, cls, scan_n):
+    """The designated extension's class, with a scan of pushout sections
+    for n = 1..scan_n (default: the base's torsion order, capped at 64)."""
+    scan_limit = scan_n
     if scan_limit is None:
         snf = smith_normal_form(E.base_exponent_matrix)
         prod = 1
@@ -414,7 +438,7 @@ def cmd_ext(args):
         witness = extensions.section_search(E, n)
         scan[str(n)] = None if witness is None else [list(w) for w in witness]
     witness = {
-        "central": central,
+        "central": list(E.central_names),
         "base": E.base.generator_names,
         "base_relators": [word_str(E.base, r) for r in E.base.relators],
         "class_vectors": [list(v) for v in cls.vectors],
@@ -425,16 +449,8 @@ def cmd_ext(args):
         "section_scan": scan,
     }
     verdict = CONSISTENT if cls.is_torsion() else INCONCLUSIVE
-    tests = [_test_record("extension_class",
-                          "splitting obstruction of the designated central "
-                          "extension", verdict, witness)]
-    tests.append(_extension_record(block.presentation, central,
-                                   args.assert_maximal, args.dim_budget))
-    report = build_report(args.file, data, tests, _overall(tests, NOT_KAHLER),
-                          args.seed, _parameters(args),
-                          extra={"group": block.presentation.name})
-    sys.stdout.write(emit_report(report, args.format))
-    return 0
+    return _test_record("extension_class", _EXTENSION_CLASS_CRITERION,
+                        verdict, witness)
 
 
 def cmd_surface(args):

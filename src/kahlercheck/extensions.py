@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intlinalg import (IntMatrix, inverse_unimodular,
+from .intlinalg import (IntMatrix, SparseEchelon, inverse_unimodular,
                         smith_normal_form, solve_integer, solve_rational)
 from .presentation import (IN_NILPOTENT, GroupHom, Word, _commutator_pair,
                            build_presentation, commutator, free_reduce,
@@ -83,8 +83,7 @@ def recognize_extension(p, central_names, dim_budget=None):
     abelian kernel of full rank is checked in the class-2 rational
     quotient and recorded, not assumed.
     """
-    from .lieranks import (DEFAULT_DIM_BUDGET, SparseEchelon,
-                           build_quotient_algebra)
+    from .lieranks import DEFAULT_DIM_BUDGET, build_quotient_algebra
     central_indices = tuple(p.gen_index(name) for name in central_names)
     central_set = set(central_indices)
     if len(central_set) != len(central_indices):

@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intlinalg import (IntMatrix, QSpace, cokernel, nullspace,
-                        rational_rank, smith_normal_form, solve_rational)
+from .intlinalg import (QSpace, cokernel, nullspace, rational_rank,
+                        solve_rational)
 from .presentation import IN_ABELIANIZATION, VerificationError
 
 
@@ -72,88 +72,6 @@ def h1_parity_check(h):
     return H1ParityReport(rank_image=rank_image,
                           rank_kernel=b1_source - rank_image,
                           rank_cokernel=b1_target - rank_image)
-
-
-# ---------------------------------------------------------------------------
-# Fox calculus
-
-
-class AbelianizationContext:
-    """Canonical coordinates on H1 of a presentation.
-
-    Built from the Smith form of the exponent matrix: an exponent vector v
-    maps to v*V with coordinate i taken mod d_i.  Two words are equal in H1
-    iff their normal forms agree.
-    """
-
-    def __init__(self, p):
-        self.presentation = p
-        snf = smith_normal_form(p.exponent_matrix())
-        self.V = snf.V
-        self.diagonal = snf.diagonal
-
-    def normal_form(self, exponent_vector):
-        coords = []
-        n = self.V.rows
-        for i in range(n):
-            x = sum(exponent_vector[k] * self.V[k, i] for k in range(n))
-            if i < len(self.diagonal) and self.diagonal[i] > 0:
-                x %= self.diagonal[i]
-            coords.append(x)
-        return tuple(coords)
-
-
-@dataclass(frozen=True)
-class FoxMatrix:
-    """Relators-by-generators matrix of abelianized Fox derivatives.
-
-    Each entry is a formal rational sum of H1 cosets, stored as a dict
-    from coset normal form to coefficient.
-    """
-
-    presentation: object
-    entries: tuple  # tuple of tuples of dicts
-
-    def specialize_at_one(self):
-        """Send every group element to 1; recovers the exponent matrix."""
-        rows = []
-        for row in self.entries:
-            rows.append([int(sum(e.values(), Fraction(0))) for e in row])
-        return IntMatrix(len(self.entries),
-                         self.presentation.num_generators, rows)
-
-
-def fox_derivatives(p):
-    """Abelianized free differential calculus on the relators.
-
-    d(uv)/dx = du/dx + u dv/dx, dx/dx = 1, d(x^-1)/dx = -x^-1, with group
-    elements recorded by their H1 coset.
-    """
-    ctx = AbelianizationContext(p)
-    n = p.num_generators
-    rows = []
-    for rel in p.relators:
-        row = [dict() for _ in range(n)]
-        prefix = [0] * n
-        for g, e in rel.letters:
-            if e == 1:
-                coset = ctx.normal_form(prefix)
-                _add_term(row[g], coset, Fraction(1))
-                prefix[g] += 1
-            else:
-                prefix[g] -= 1
-                coset = ctx.normal_form(prefix)
-                _add_term(row[g], coset, Fraction(-1))
-        rows.append(tuple(row))
-    return FoxMatrix(presentation=p, entries=tuple(rows))
-
-
-def _add_term(d, key, coeff):
-    val = d.get(key, Fraction(0)) + coeff
-    if val:
-        d[key] = val
-    else:
-        d.pop(key, None)
 
 
 # ---------------------------------------------------------------------------

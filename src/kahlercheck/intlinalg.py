@@ -7,11 +7,15 @@ is not negotiable here.  The intended scale is desk-size (dimension <~ 50);
 nothing is tuned beyond that.
 
 The Smith normal form decomposition U*A*V = D is the engine behind every
-rank, torsion and solvability question elsewhere in the package:
+integral rank, torsion and solvability question in the package:
 
 >>> A = IntMatrix.from_rows([[2, 4], [6, 8]])
 >>> smith_normal_form(A).diagonal
 (2, 4)
+
+Rational questions (ranks, null spaces, rational solutions, subspaces of
+Q^n) all go through one sparse reduced echelon, SparseEchelon, which the
+Malcev computations in lieranks use as well.
 """
 
 from __future__ import annotations
@@ -275,45 +279,6 @@ def solve_integer(A, b):
     return x
 
 
-def solve_rational(A, b):
-    """Some rational x with A*x = b, or None (exact Gaussian elimination)."""
-    b = [Fraction(v) for v in b]
-    if len(b) != A.rows:
-        raise ValueError("right-hand side length does not match row count")
-    m = [[Fraction(x) for x in A.row(i)] + [b[i]] for i in range(A.rows)]
-    rows, cols = A.rows, A.cols
-    pivots = []
-    rank = 0
-    for j in range(cols):
-        pivot = next((i for i in range(rank, rows) if m[i][j]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][j]
-        m[rank] = [v * inv for v in m[rank]]
-        for i in range(rows):
-            if i != rank and m[i][j]:
-                f = m[i][j]
-                m[i] = [a - f * c for a, c in zip(m[i], m[rank])]
-        pivots.append(j)
-        rank += 1
-        if rank == rows:
-            break
-    for i in range(rank, rows):
-        if m[i][cols]:
-            return None
-    x = [Fraction(0)] * cols
-    for i, j in enumerate(pivots):
-        x[j] = m[i][cols]
-    assert A_mul_frac(A, x) == b
-    return x
-
-
-def A_mul_frac(A, vec):
-    return [sum(Fraction(r[k]) * vec[k] for k in range(A.cols)) for r in
-            (A.row(i) for i in range(A.rows))]
-
-
 def cokernel(A):
     """Z^cols modulo the row span of A, as rank plus invariant factors > 1.
 
@@ -342,64 +307,147 @@ def inverse_unimodular(M):
 
 
 # ---------------------------------------------------------------------------
-# dense rational row spaces
+# the sparse rational echelon, and the dense helpers built on it
+
+_F0 = Fraction(0)
+_F1 = Fraction(1)
 
 
-def rref(rows):
-    """Reduced row echelon form over Q; returns (rows, pivot columns)."""
-    m = [[Fraction(x) for x in r] for r in rows]
-    if not m:
-        return [], []
-    cols = len(m[0])
-    pivots = []
-    rank = 0
-    for j in range(cols):
-        pivot = next((i for i in range(rank, len(m)) if m[i][j]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][j]
-        m[rank] = [v * inv for v in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][j]:
-                f = m[i][j]
-                m[i] = [a - f * c for a, c in zip(m[i], m[rank])]
-        pivots.append(j)
-        rank += 1
-    return m[:rank], pivots
+class SparseEchelon:
+    """Reduced echelon basis of sparse rational vectors keyed by int.
+
+    Each row has coefficient 1 at its pivot, which is its smallest key,
+    and no other row has an entry there; so the rows are the unique
+    reduced row echelon form of their span.
+    """
+
+    def __init__(self):
+        self.rows = {}  # pivot -> {key: coeff}, pivot coefficient 1
+
+    def reduce(self, vec):
+        result = {}
+        work = {k: Fraction(c) for k, c in vec.items() if c}
+        while work:
+            k = min(work)
+            c = work.pop(k)
+            row = self.rows.get(k)
+            if row is None:
+                result[k] = c
+                continue
+            for kk, cc in row.items():
+                if kk == k:
+                    continue
+                nv = work.get(kk, _F0) - c * cc
+                if nv:
+                    work[kk] = nv
+                else:
+                    work.pop(kk, None)
+        return result
+
+    def insert(self, vec):
+        """Insert a vector; returns its pivot, or None if dependent."""
+        v = self.reduce(vec)
+        if not v:
+            return None
+        p = min(v)
+        inv = 1 / v[p]
+        v = {k: c * inv for k, c in v.items()}
+        for row in self.rows.values():
+            if p in row:
+                f = row[p]
+                for k, c in v.items():
+                    nv = row.get(k, _F0) - f * c
+                    if nv:
+                        row[k] = nv
+                    else:
+                        row.pop(k, None)
+        self.rows[p] = v
+        return p
+
+    @property
+    def dim(self):
+        return len(self.rows)
+
+    def pivots(self):
+        return sorted(self.rows)
+
+    def coordinates(self, vec):
+        """Coordinates of vec in the basis rows (sorted-pivot order), or
+        None when vec is outside the span.
+
+        The rows are fully reduced, so a row's coordinate is the entry of
+        vec at that row's pivot.
+        """
+        if self.reduce(vec):
+            return None
+        return [Fraction(vec.get(p, _F0)) for p in self.pivots()]
+
+
+def _sparse(dense):
+    return {j: x for j, x in enumerate(dense) if x}
+
+
+def _echelon(rows):
+    ech = SparseEchelon()
+    for r in rows:
+        ech.insert(_sparse(r))
+    return ech
 
 
 def rational_rank(rows):
-    return len(rref(rows)[0])
+    return _echelon(rows).dim
 
 
 def nullspace(rows, width=None):
-    """Basis of {x : M x = 0} for the matrix with the given rows."""
+    """Basis of {x : M x = 0} for the matrix with the given rows.
+
+    One vector per free column j of the reduced echelon form: 1 at j and
+    0 at every other free column.
+    """
     if width is None:
         if not rows:
             raise ValueError("need explicit width for an empty matrix")
         width = len(rows[0])
-    reduced, pivots = rref(rows)
+    ech = _echelon(rows)
     basis = []
-    pivot_set = set(pivots)
     for j in range(width):
-        if j in pivot_set:
+        if j in ech.rows:
             continue
-        vec = [Fraction(0)] * width
-        vec[j] = Fraction(1)
-        for i, p in enumerate(pivots):
-            vec[p] = -reduced[i][j]
+        vec = [_F0] * width
+        vec[j] = _F1
+        for p, row in ech.rows.items():
+            vec[p] = -row.get(j, _F0)
         basis.append(vec)
     return basis
 
 
+def solve_rational(A, b):
+    """Some rational x with A*x = b, or None.
+
+    Read off the reduced echelon form of [A | b]: a pivot in the last
+    column means there is no solution; otherwise x is that column on the
+    pivot columns and 0 on the free ones.
+    """
+    b = [Fraction(v) for v in b]
+    if len(b) != A.rows:
+        raise ValueError("right-hand side length does not match row count")
+    cols = A.cols
+    ech = _echelon(list(A.row(i)) + [b[i]] for i in range(A.rows))
+    if cols in ech.rows:
+        return None
+    x = [_F0] * cols
+    for p, row in ech.rows.items():
+        x[p] = row.get(cols, _F0)
+    assert A.mul_vec(x) == b
+    return x
+
+
 class QSpace:
-    """Subspace of Q^width kept as an incrementally built echelon basis."""
+    """Subspace of Q^width: a dense-vector view of one SparseEchelon."""
 
     def __init__(self, width):
         self.width = width
-        self._rows = []      # reduced rows, sorted by pivot
-        self._pivots = []
+        self._ech = SparseEchelon()
 
     @classmethod
     def from_rows(cls, width, rows):
@@ -408,64 +456,47 @@ class QSpace:
             space.add(r)
         return space
 
-    def reduce(self, vec):
-        v = [Fraction(x) for x in vec]
-        for row, p in zip(self._rows, self._pivots):
-            if v[p]:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
-        return v
-
     def add(self, vec):
         """Insert vec; returns True when the dimension grew."""
-        v = self.reduce(vec)
-        pivot = next((j for j in range(self.width) if v[j]), None)
-        if pivot is None:
-            return False
-        inv = 1 / v[pivot]
-        v = [x * inv for x in v]
-        for i, row in enumerate(self._rows):
-            if row[pivot]:
-                f = row[pivot]
-                self._rows[i] = [a - f * b for a, b in zip(row, v)]
-        at = next((i for i, p in enumerate(self._pivots) if p > pivot),
-                  len(self._pivots))
-        self._rows.insert(at, v)
-        self._pivots.insert(at, pivot)
-        return True
+        return self._ech.insert(_sparse(vec)) is not None
 
     def contains(self, vec):
-        return all(x == 0 for x in self.reduce(vec))
-
-    def contains_space(self, other):
-        return all(self.contains(r) for r in other.basis())
-
-    def equals(self, other):
-        return (self.dim == other.dim and self.contains_space(other))
+        return not self._ech.reduce(_sparse(vec))
 
     @property
     def dim(self):
-        return len(self._rows)
+        return self._ech.dim
 
     def basis(self):
-        return [list(r) for r in self._rows]
+        """The reduced row echelon basis, sorted by pivot."""
+        out = []
+        for p in self._ech.pivots():
+            vec = [_F0] * self.width
+            for k, c in self._ech.rows[p].items():
+                vec[k] = c
+            out.append(vec)
+        return out
 
     @staticmethod
     def intersection(a, b):
-        """Intersection of two subspaces of the same ambient Q^width."""
+        """Intersection of two subspaces of the same ambient Q^width.
+
+        Zassenhaus: in the echelon of the rows (u, u) for u in a and
+        (v, 0) for v in b, the rows with zero first half carry a basis of
+        the intersection in their second half.
+        """
         if a.width != b.width:
             raise ValueError("ambient dimensions differ")
-        out = QSpace(a.width)
-        if a.dim == 0 or b.dim == 0:
-            return out
-        stacked = a.basis() + b.basis()
-        # left-kernel combos lambda*U + mu*V = 0 give the intersection
-        transposed = [[stacked[i][j] for i in range(len(stacked))]
-                      for j in range(a.width)]
-        for combo in nullspace(transposed, width=len(stacked)):
-            vec = [Fraction(0)] * a.width
-            for coeff, row in zip(combo[:a.dim], a.basis()):
-                if coeff:
-                    vec = [x + coeff * y for x, y in zip(vec, row)]
-            out.add(vec)
+        w = a.width
+        ech = SparseEchelon()
+        for row in a._ech.rows.values():
+            both = dict(row)
+            both.update((w + k, c) for k, c in row.items())
+            ech.insert(both)
+        for row in b._ech.rows.values():
+            ech.insert(row)
+        out = QSpace(w)
+        for p, row in ech.rows.items():
+            if p >= w:
+                out._ech.insert({k - w: c for k, c in row.items()})
         return out

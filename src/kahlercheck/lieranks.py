@@ -14,8 +14,11 @@ of the cup-product kernel inside the wedge square of H1 tensor Q.  The
 formality test compares the two rank sequences; a mismatch in degree >= 3
 certifies that the Malcev Lie algebra has no quadratic presentation.
 
-Everything is exact rational linear algebra; the only knob is the basis
-budget (the truncated algebra has g^n monomials in degree n).
+Every elimination here (the ideal, its leading terms, the graded Lie
+parts, the strictness spans) runs on the one exact rational kernel,
+intlinalg.SparseEchelon, keyed by monomial indices that grow with degree.
+The only knob is the basis budget (the truncated algebra has g^n monomials
+in degree n).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 
-from .intlinalg import QSpace, solve_integer
+from .intlinalg import SparseEchelon, nullspace, solve_integer
 from .presentation import IN_NILPOTENT, VerificationError
 
 _F0 = Fraction(0)
@@ -66,9 +69,6 @@ class TruncatedSeries:
     def one(cls, degree_bound):
         return cls(degree_bound, {(): _F1})
 
-    def copy(self):
-        return TruncatedSeries(self.degree_bound, dict(self.coeffs))
-
     def add_term(self, mon, coeff):
         if len(mon) > self.degree_bound:
             return
@@ -77,18 +77,6 @@ class TruncatedSeries:
             self.coeffs[mon] = val
         else:
             self.coeffs.pop(mon, None)
-
-    def __add__(self, other):
-        out = self.copy()
-        for mon, c in other.coeffs.items():
-            out.add_term(mon, c)
-        return out
-
-    def __sub__(self, other):
-        out = self.copy()
-        for mon, c in other.coeffs.items():
-            out.add_term(mon, -c)
-        return out
 
     def mul(self, other):
         d = self.degree_bound
@@ -175,7 +163,7 @@ def substitute(monomial_items, images_minus_one, degree):
 
 
 # ---------------------------------------------------------------------------
-# monomial bookkeeping and sparse echelons
+# monomial bookkeeping
 
 
 class MonomialTable:
@@ -208,86 +196,6 @@ class MonomialTable:
     def monomial_of(self, idx):
         n = self.degree_of(idx)
         return self.by_degree[n][idx - self.offset[n]]
-
-
-class SparseEchelon:
-    """Reduced echelon basis of sparse rational vectors keyed by int."""
-
-    def __init__(self):
-        self.rows = {}  # pivot -> {key: coeff}, pivot coefficient 1
-
-    def reduce(self, vec):
-        result = {}
-        work = {k: Fraction(c) for k, c in vec.items() if c}
-        while work:
-            k = min(work)
-            c = work.pop(k)
-            row = self.rows.get(k)
-            if row is None:
-                result[k] = c
-                continue
-            for kk, cc in row.items():
-                if kk == k:
-                    continue
-                nv = work.get(kk, _F0) - c * cc
-                if nv:
-                    work[kk] = nv
-                else:
-                    work.pop(kk, None)
-        return result
-
-    def insert(self, vec):
-        """Insert a vector; returns its pivot, or None if dependent."""
-        v = self.reduce(vec)
-        if not v:
-            return None
-        p = min(v)
-        inv = 1 / v[p]
-        v = {k: c * inv for k, c in v.items()}
-        for row in self.rows.values():
-            if p in row:
-                f = row[p]
-                for k, c in v.items():
-                    nv = row.get(k, _F0) - f * c
-                    if nv:
-                        row[k] = nv
-                    else:
-                        row.pop(k, None)
-        self.rows[p] = v
-        return p
-
-    @property
-    def dim(self):
-        return len(self.rows)
-
-    def pivots(self):
-        return sorted(self.rows)
-
-    def coordinates(self, vec):
-        """Coordinates of vec in the basis rows (sorted-pivot order), or
-        None when vec is outside the span."""
-        v = self.reduce(vec)
-        if v:
-            return None
-        # a second pass records the pivot coefficients
-        coords = {}
-        work = {k: Fraction(c) for k, c in vec.items() if c}
-        while work:
-            k = min(work)
-            c = work.pop(k)
-            row = self.rows.get(k)
-            if row is None:
-                return None
-            coords[k] = c
-            for kk, cc in row.items():
-                if kk == k:
-                    continue
-                nv = work.get(kk, _F0) - c * cc
-                if nv:
-                    work[kk] = nv
-                else:
-                    work.pop(kk, None)
-        return [coords.get(p, _F0) for p in self.pivots()]
 
 
 # ---------------------------------------------------------------------------
@@ -384,15 +292,6 @@ class TruncatedQuotientAlgebra:
             reps = new_reps
             self.lie_ranks[n] = self._lie[n].dim
 
-        # basis of the quotient: non-pivot monomial indices, ascending
-        pivot_set = set(self._ideal.rows)
-        self.basis_indices = [i for i in range(self.table.total)
-                              if i not in pivot_set]
-        self._basis_pos = {idx: pos for pos, idx in
-                           enumerate(self.basis_indices)}
-        self.basis_degrees = [self.table.degree_of(i)
-                              for i in self.basis_indices]
-
     # -- normal forms ------------------------------------------------------
 
     def nf(self, series_or_vec):
@@ -411,12 +310,6 @@ class TruncatedQuotientAlgebra:
         """Is the word trivial in the class-d rational nilpotent quotient?"""
         return self.nf_is_zero(
             magnus_minus_one(word, self.degree, self.num_gens))
-
-    def densify(self, nf_vec):
-        dense = [_F0] * len(self.basis_indices)
-        for k, c in nf_vec.items():
-            dense[self._basis_pos[k]] = c
-        return dense
 
     # -- graded structure ---------------------------------------------------
 
@@ -488,7 +381,6 @@ def holonomy_ranks(p, degree, dim_budget=DEFAULT_DIM_BUDGET):
         # annihilator of the kernel inside Q^pairs
         transposed = [[row[i] for row in report.kernel_basis]
                       for i in range(len(pairs))]
-        from .intlinalg import nullspace
         ann = nullspace([[transposed[i][j] for i in range(len(pairs))]
                          for j in range(len(report.kernel_basis))],
                         width=len(pairs))
@@ -642,58 +534,42 @@ def strictness_check(h, degree, dim_budget=DEFAULT_DIM_BUDGET):
     """
     _require_nilpotent_verification(h, degree, "strictness_check")
     tgt = build_quotient_algebra(h.target, degree, dim_budget)
-    width = len(tgt.basis_indices)
 
     factors = []
     seen = SparseEchelon()
     for img in h.images:
         for w in (img, img.inverse()):
             nf = tgt.nf(magnus_minus_one(w, degree, tgt.num_gens))
-            if nf and seen.insert(dict(nf)) is not None:
+            if seen.insert(nf) is not None:
                 factors.append(nf)
 
     # products of exactly k factors, echelon-pruned level by level
-    levels = []
-    current = []
-    ech = SparseEchelon()
-    for f in factors:
-        if ech.insert(dict(f)) is not None:
-            current.append(f)
-    levels.append(current)
+    levels = [factors]
     for _ in range(2, degree + 1):
         ech = SparseEchelon()
         nxt = []
-        for u in current:
+        for u in levels[-1]:
             for f in factors:
                 prod = tgt.multiply_nf(u, f)
-                if prod and ech.insert(dict(prod)) is not None:
+                if ech.insert(prod) is not None:
                     nxt.append(prod)
         levels.append(nxt)
-        current = nxt
 
-    full = QSpace(width)
-    for level in levels:
-        for v in level:
-            full.add(tgt.densify(v))
-
-    strict_at = {}
+    # Global indices grow with degree, so a pivot is its row's lowest-degree
+    # term and the image meets valuation >= n in as many dimensions as it
+    # has pivots in degree >= n.  Inserting the levels from the top down,
+    # the dimension after level n is that of h(C^n L1).
+    image = SparseEchelon()
     image_dims = {}
-    inter_dims = {}
-    for n in range(1, degree + 1):
-        lhs = QSpace(width)
-        for level in levels[n - 1:]:
-            for v in level:
-                lhs.add(tgt.densify(v))
-        fn = QSpace(width)
-        for pos, deg in enumerate(tgt.basis_degrees):
-            if deg >= n:
-                unit = [_F0] * width
-                unit[pos] = _F1
-                fn.add(unit)
-        rhs = QSpace.intersection(full, fn)
-        strict_at[n] = lhs.dim == rhs.dim
-        image_dims[n] = lhs.dim
-        inter_dims[n] = rhs.dim
+    for n in range(degree, 0, -1):
+        for v in levels[n - 1]:
+            image.insert(v)
+        image_dims[n] = image.dim
+    pivot_degrees = [tgt.table.degree_of(p) for p in image.rows]
+    inter_dims = {n: sum(1 for d in pivot_degrees if d >= n)
+                  for n in range(1, degree + 1)}
+    strict_at = {n: image_dims[n] == inter_dims[n]
+                 for n in range(1, degree + 1)}
     return StrictnessReport(degree=degree, strict_at=strict_at,
                             image_dims=image_dims, intersection_dims=inter_dims)
 

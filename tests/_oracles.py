@@ -88,3 +88,53 @@ def _det(rows):
         total += sign * rows[0][j] * _det(minor)
         sign = -sign
     return total
+
+
+def bareiss_rank(rows):
+    """Rank over Q by fraction-free (Bareiss) elimination.
+
+    Each row is first scaled to integers, so every step is an exact
+    integer division; no Fraction arithmetic and no kahlercheck code.
+    """
+    from fractions import Fraction
+    from math import lcm
+    a = []
+    for r in rows:
+        r = [Fraction(x) for x in r]
+        den = lcm(1, *(x.denominator for x in r))
+        a.append([int(x * den) for x in r])
+    if not a:
+        return 0
+    m, n = len(a), len(a[0])
+    rank = 0
+    prev = 1
+    for col in range(n):
+        pivot = next((i for i in range(rank, m) if a[i][col]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        for i in range(rank + 1, m):
+            for j in range(col + 1, n):
+                q, rem = divmod(a[i][j] * a[rank][col]
+                                - a[i][col] * a[rank][j], prev)
+                assert rem == 0
+                a[i][j] = q
+            a[i][col] = 0
+        prev = a[rank][col]
+        rank += 1
+        if rank == m:
+            break
+    return rank
+
+
+def pivot_columns(rows, width):
+    """Columns j where the rank of the first j+1 columns jumps: the pivot
+    columns of the reduced row echelon form."""
+    pivots = []
+    prev = 0
+    for j in range(width):
+        r = bareiss_rank([row[:j + 1] for row in rows]) if rows else 0
+        if r > prev:
+            pivots.append(j)
+        prev = r
+    return pivots

@@ -200,6 +200,20 @@ def test_budget_degrades_to_inconclusive(capsys):
     assert report["overall"] != NOT_KAHLER
 
 
+def test_ext_budget_degrades_to_inconclusive(capsys):
+    # the degree-2 algebra of the Heisenberg group needs 1 + 3 + 9 = 13
+    # basis monomials; both records report the overrun and the run completes
+    report = run_json(capsys, "ext", input_path("heisenberg.grp"),
+                      "--central", "c", "--dim-budget", "10")
+    assert ([t["name"] for t in report["tests"]]
+            == ["extension_class", "central_extension"])
+    for t in report["tests"]:
+        assert t["verdict"] == INCONCLUSIVE
+        assert t["witness"] == {"reason": "budget exceeded", "required": 13,
+                                "budget": 10}
+    assert report["overall"] == INCONCLUSIVE
+
+
 def test_low_degree_formality_inconclusive(capsys):
     report = run_json(capsys, "analyze", input_path("gamma2.grp"),
                       "--max-degree", "2")

@@ -3,9 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from kahlercheck.homology import (AbelianizationContext, TwoCochainClass,
-                                  cup_injectivity_check, cup_product,
-                                  fox_derivatives, h1, h1_cocycle_basis,
+from kahlercheck.homology import (TwoCochainClass, cup_injectivity_check,
+                                  cup_product, h1, h1_cocycle_basis,
                                   h1_parity_check, one_cocycle)
 from kahlercheck.presentation import (EXACT, GroupHom, VerificationError,
                                       compose, parse_presentation,
@@ -84,42 +83,6 @@ def test_parity_composition_rank_bound(pool):
         r = h1_parity_check(gf)
         assert r.rank_image <= min(h1_parity_check(f).rank_image,
                                    h1_parity_check(g).rank_image)
-
-
-# ---------------------------------------------------------------------------
-# Fox derivatives
-
-
-def test_fox_commutator(pool):
-    z2 = pool["z2"]
-    fox = fox_derivatives(z2)
-    ctx = AbelianizationContext(z2)
-    one = ctx.normal_form([0, 0])
-    y = ctx.normal_form([0, 1])
-    # d[x,y]/dx = 1 - y after abelianizing
-    assert fox.entries[0][0] == {one: 1, y: -1}
-    x = ctx.normal_form([1, 0])
-    assert fox.entries[0][1] == {x: 1, one: -1}
-
-
-def test_fox_power(pool):
-    c3 = pool["cyclic3"]
-    fox = fox_derivatives(c3)
-    ctx = AbelianizationContext(c3)
-    cosets = [ctx.normal_form([k]) for k in range(3)]
-    assert len(set(cosets)) == 3
-    assert fox.entries[0][0] == {c: 1 for c in cosets}
-
-
-def test_fox_missing_generator():
-    p = parse_presentation("gens: x,y; rels: y;")
-    fox = fox_derivatives(p)
-    assert fox.entries[0][0] == {}
-
-
-def test_fox_specialization_matches_exponents(pool):
-    for name, p in pool.items():
-        assert fox_derivatives(p).specialize_at_one() == p.exponent_matrix(), name
 
 
 # ---------------------------------------------------------------------------

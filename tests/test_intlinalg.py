@@ -8,7 +8,8 @@ from kahlercheck.intlinalg import (IntMatrix, QSpace, cokernel,
                                    solve_integer, solve_rational)
 from kahlercheck.presentation import parse_presentation
 
-from _oracles import brute_force_snf_invariants
+from _oracles import (bareiss_rank, brute_force_snf_invariants,
+                      pivot_columns)
 
 
 def check_snf(A):
@@ -176,3 +177,61 @@ def test_qspace_membership():
     assert s.contains([1, 3, 4])
     assert not s.contains([0, 0, 1])
     assert s.dim == 2
+
+
+def _low_rank_rows(rng, nrows, width, max_den=3):
+    # low-rank matrices are the interesting ones: build rows as rational
+    # combinations of a few random generators
+    gens = [[rng.randint(-4, 4) for _ in range(width)]
+            for _ in range(rng.randint(1, max(1, min(nrows, width))))]
+    rows = []
+    for _ in range(nrows):
+        coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, max_den))
+                  for _ in gens]
+        rows.append([sum((c * g[j] for c, g in zip(coeffs, gens)),
+                         Fraction(0)) for j in range(width)])
+    return rows
+
+
+def test_rational_rank_matches_bareiss():
+    rng = random.Random(1729)
+    for _ in range(80):
+        rows = _low_rank_rows(rng, rng.randint(1, 6), rng.randint(1, 6))
+        assert rational_rank(rows) == bareiss_rank(rows)
+
+
+def test_nullspace_basis_is_canonical():
+    # one vector per free column: 1 there, 0 on every other free column
+    rng = random.Random(4242)
+    for _ in range(60):
+        width = rng.randint(1, 6)
+        rows = _low_rank_rows(rng, rng.randint(1, 5), width)
+        free = [j for j in range(width)
+                if j not in pivot_columns(rows, width)]
+        basis = nullspace(rows)
+        assert len(basis) == len(free) == width - bareiss_rank(rows)
+        for v, j in zip(basis, free):
+            assert all(x == (1 if k == j else 0)
+                       for k, x in enumerate(v) if k in free)
+            assert all(sum(r[k] * v[k] for k in range(width)) == 0
+                       for r in rows)
+
+
+def test_solve_rational_is_zero_on_free_columns():
+    rng = random.Random(97)
+    for _ in range(60):
+        r, c = rng.randint(1, 5), rng.randint(1, 5)
+        rows = [[int(x) for x in row]
+                for row in _low_rank_rows(rng, r, c, max_den=1)]
+        A = IntMatrix.from_rows(rows)
+        free = [j for j in range(c) if j not in pivot_columns(rows, c)]
+        b = A.mul_vec([Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+                       for _ in range(c)])
+        x = solve_rational(A, b)
+        assert x is not None and A.mul_vec(x) == b
+        assert all(x[j] == 0 for j in free)
+        # a right-hand side outside the column span has no solution
+        e = [Fraction(rng.randint(-4, 4)) for _ in range(A.rows)]
+        solvable = (bareiss_rank([row + [v] for row, v in zip(rows, e)])
+                    == bareiss_rank(rows))
+        assert (solve_rational(A, e) is not None) == solvable
