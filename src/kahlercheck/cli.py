@@ -19,22 +19,21 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from fractions import Fraction
 
 from . import extensions, homology, lieranks, surface
-from .intlinalg import smith_normal_form
 from .lieranks import BudgetExceededError, DEFAULT_DIM_BUDGET
 from .presentation import (EXACT, IN_ABELIANIZATION, IN_NILPOTENT, ParseError,
                            VerificationError, compose, parse_file,
-                           parse_word_in, serialize_presentation,
-                           surface_genus, verify_hom, word_str)
+                           parse_word_in, serialize_presentation, verify_hom,
+                           word_str)
 
 NOT_KAHLER = "not_kahler"
 NOT_KAHLER_HOM = "not_kahler_hom"
 CONSISTENT = "consistent"
 INCONCLUSIVE = "inconclusive"
-CAVEAT = "caveat"
 
 
 class InputError(Exception):
@@ -162,7 +161,7 @@ _DERIVED_CRITERION = ("a Kahler homomorphism into the derived subgroup "
 def _extension_record(E, cls, assert_maximal):
     """The surface-base obstruction for a recognized extension E with
     splitting class cls."""
-    genus = surface_genus(E.base)
+    verdict, notes = surface.surface_base_verdict(E, cls, assert_maximal)
     witness = {
         "central": list(E.central_names),
         "class_vectors": [list(v) for v in cls.vectors],
@@ -171,30 +170,8 @@ def _extension_record(E, cls, assert_maximal):
         "base_exponent_matrix": E.base_exponent_matrix.to_rows(),
         "kernel_hypothesis_verified": E.kernel_hypothesis_verified,
         "certificate": cls.certificate,
+        **notes,
     }
-    if genus is not None and genus >= 2 and cls.verdict == "non_torsion":
-        b1 = homology.h1(E.total).rank
-        if assert_maximal:
-            maximality = "asserted"
-        elif b1 == 2 * genus:
-            maximality = "automatic (b1 = 2g caps the genus)"
-        else:
-            maximality = None
-        witness["base_surface_genus"] = genus
-        witness["maximality"] = maximality
-        if maximality is None:
-            verdict = INCONCLUSIVE
-            witness["reason"] = ("non-torsion class over a surface base, but "
-                                 "maximality is not established; pass "
-                                 "--assert-maximal if it holds")
-        else:
-            verdict = CAVEAT if cls.kernel_caveat else NOT_KAHLER
-    elif cls.verdict == "non_torsion":
-        verdict = INCONCLUSIVE
-        witness["reason"] = ("non-torsion class, but the base is not a "
-                             "surface presentation of genus >= 2")
-    else:
-        verdict = CONSISTENT
     return _test_record("central_extension", _EXTENSION_CRITERION, verdict,
                         witness)
 
@@ -206,7 +183,7 @@ def _extension_record(E, cls, assert_maximal):
 def analyze_hom(h, max_degree=3, dim_budget=DEFAULT_DIM_BUDGET):
     """Verify a homomorphism as strongly as possible, then run the
     homomorphism obstruction battery."""
-    verified = None
+    verified = overrun = None
     try:
         verified = verify_hom(h, EXACT)
     except VerificationError as e:
@@ -214,8 +191,10 @@ def analyze_hom(h, max_degree=3, dim_budget=DEFAULT_DIM_BUDGET):
             raise
     if verified is None:
         try:
-            verified = verify_hom(h, IN_NILPOTENT, max(max_degree, 2))
-        except BudgetExceededError:
+            verified = verify_hom(h, IN_NILPOTENT, max(max_degree, 2),
+                                  dim_budget)
+        except BudgetExceededError as e:
+            overrun = e
             verified = verify_hom(h, IN_ABELIANIZATION)
 
     tests = []
@@ -238,7 +217,7 @@ def analyze_hom(h, max_degree=3, dim_budget=DEFAULT_DIM_BUDGET):
         except BudgetExceededError as e:
             tests.append(_test_record(
                 "lcs_strictness", _STRICTNESS_CRITERION, INCONCLUSIVE,
-                {"reason": "budget exceeded", "required": e.required}))
+                _over_budget(e)))
         try:
             drep = lieranks.derived_image_check(verified, max_degree, dim_budget)
             verdict = NOT_KAHLER_HOM if drep.obstructed else CONSISTENT
@@ -250,9 +229,11 @@ def analyze_hom(h, max_degree=3, dim_budget=DEFAULT_DIM_BUDGET):
         except BudgetExceededError as e:
             tests.append(_test_record(
                 "derived_image", _DERIVED_CRITERION, INCONCLUSIVE,
-                {"reason": "budget exceeded", "required": e.required}))
+                _over_budget(e)))
     else:
-        note = {"reason": "verification level %s is too weak" % verified.level}
+        note = (_over_budget(overrun) if overrun is not None else
+                {"reason": "verification level %s is too weak"
+                           % verified.level})
         tests.append(_test_record("lcs_strictness", _STRICTNESS_CRITERION,
                                   INCONCLUSIVE, note))
         tests.append(_test_record("derived_image", _DERIVED_CRITERION,
@@ -427,12 +408,7 @@ def _extension_class_record(E, cls, scan_n):
     for n = 1..scan_n (default: the base's torsion order, capped at 64)."""
     scan_limit = scan_n
     if scan_limit is None:
-        snf = smith_normal_form(E.base_exponent_matrix)
-        prod = 1
-        for d in snf.diagonal:
-            if d > 1:
-                prod *= d
-        scan_limit = max(1, min(prod, 64))
+        scan_limit = max(1, min(math.prod(homology.h1(E.base).torsion), 64))
     scan = {}
     for n in range(1, scan_limit + 1):
         witness = extensions.section_search(E, n)

@@ -21,8 +21,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .homology import _exponent_snf, cup_injectivity_check, h1
 from .intlinalg import (IntMatrix, SparseEchelon, inverse_unimodular,
                         smith_normal_form, solve_integer, solve_rational)
+from .lieranks import (DEFAULT_DIM_BUDGET, build_quotient_algebra,
+                       magnus_minus_one)
 from .presentation import (IN_NILPOTENT, GroupHom, Word, _commutator_pair,
                            build_presentation, commutator, free_reduce,
                            verify_hom)
@@ -83,7 +86,6 @@ def recognize_extension(p, central_names, dim_budget=None):
     abelian kernel of full rank is checked in the class-2 rational
     quotient and recorded, not assumed.
     """
-    from .lieranks import DEFAULT_DIM_BUDGET, build_quotient_algebra
     central_indices = tuple(p.gen_index(name) for name in central_names)
     central_set = set(central_indices)
     if len(central_set) != len(central_indices):
@@ -158,10 +160,6 @@ def recognize_extension(p, central_names, dim_budget=None):
         base_relator_sources=tuple(sources))
 
 
-def _lcm(a, b):
-    return a * b // math.gcd(a, b)
-
-
 def _minimal_multiple(A, v_col):
     """Minimal n >= 1 with A*w = -n*v solvable over Z, or None when there
     is no rational solution (n*e never vanishes)."""
@@ -172,7 +170,7 @@ def _minimal_multiple(A, v_col):
         d = snf.diagonal[i] if i < len(snf.diagonal) else 0
         if d:
             # row i needs d | n*c_i
-            n = _lcm(n, d // math.gcd(d, c[i] % d))
+            n = math.lcm(n, d // math.gcd(d, c[i] % d))
         elif c[i]:
             return None
     return n
@@ -199,7 +197,7 @@ def class_and_torsion(E):
                                   verdict=VERDICT_NON_TORSION, order=0,
                                   certificate=cert,
                                   kernel_caveat=not E.kernel_hypothesis_verified)
-        order = order * n_l // math.gcd(order, n_l)
+        order = math.lcm(order, n_l)
     if order == 1:
         witness = [solve_integer(A, [-x for x in col]) for col in columns]
         cert = {"reason": "integer section exists", "integer_witness": witness}
@@ -307,13 +305,11 @@ class ClassTwoPushforward:
 def canonical_class2_extension(p, dim_budget=None):
     """Extension 1 -> gr_2 lattice -> (class-2 quotient mod torsion)
     -> H1/torsion -> 1, with lift vectors from degree-2 Magnus parts."""
-    from .lieranks import DEFAULT_DIM_BUDGET, build_quotient_algebra, \
-        magnus_minus_one
     if dim_budget is None:
         dim_budget = DEFAULT_DIM_BUDGET
     alg = build_quotient_algebra(p, 2, dim_budget)
     k2 = alg.lie_ranks[2]
-    snf = smith_normal_form(p.exponent_matrix())
+    snf = _exponent_snf(p)
     g = p.num_generators
     free_idx = [i for i in range(g)
                 if i >= len(snf.diagonal) or snf.diagonal[i] == 0]
@@ -354,10 +350,7 @@ def canonical_class2_extension(p, dim_budget=None):
             note="degree-2 part is trivial; pushforward class is zero")
 
     # integral lattice spanned by the rational coefficient vectors
-    denom = 1
-    for lam in lambdas:
-        for x in lam:
-            denom = denom * x.denominator // math.gcd(denom, x.denominator)
+    denom = math.lcm(*(x.denominator for lam in lambdas for x in lam))
     M = IntMatrix.from_rows([[int(x * denom) for x in lam] for lam in lambdas])
     msnf = smith_normal_form(M)
     UM = msnf.U.mul(M)
@@ -421,7 +414,6 @@ def abelianization_obstruction(p, dim_budget=None):
     therefore certifies the group is not Kahler.  Anything else is
     inconclusive.
     """
-    from .homology import cup_injectivity_check, h1
     b1 = h1(p).rank
     cup_injective = None
     if b1 == 2:

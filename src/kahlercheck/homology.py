@@ -19,14 +19,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intlinalg import (QSpace, cokernel, nullspace, rational_rank,
+from .intlinalg import (QSpace, nullspace, rational_rank, smith_normal_form,
                         solve_rational)
 from .presentation import IN_ABELIANIZATION, VerificationError
 
 
+def _exponent_snf(p):
+    """Smith form of p's exponent matrix, built once per presentation."""
+    if "snf" not in p._memo:
+        p._memo["snf"] = smith_normal_form(p.exponent_matrix())
+    return p._memo["snf"]
+
+
 def h1(p):
     """Abelianization of the presented group (rank = first Betti number)."""
-    return cokernel(p.exponent_matrix())
+    return _exponent_snf(p).cokernel()
 
 
 @dataclass(frozen=True)
@@ -103,12 +110,7 @@ def one_cocycle(p, values):
 def h1_cocycle_basis(p):
     """Basis of H^1(G, Q) = null space of the exponent matrix."""
     A = p.exponent_matrix()
-    if A.rows == 0:
-        basis = [[Fraction(1) if i == j else Fraction(0)
-                  for i in range(A.cols)] for j in range(A.cols)]
-    else:
-        basis = nullspace([[Fraction(x) for x in A.row(i)]
-                           for i in range(A.rows)], width=A.cols)
+    basis = nullspace(A.to_rows(), width=A.cols)
     return [OneCocycle(tuple(v)) for v in basis]
 
 
@@ -142,18 +144,18 @@ def cup_product(p, alpha, beta):
             if c(r.exponent_vector(p.num_generators)) != 0:
                 raise ValueError("input is not a cocycle (fails on relator %d)"
                                  % idx)
-    n = p.num_generators
+    a, b = alpha.values, beta.values
     values = []
     for r in p.relators:
-        total = Fraction(0)
-        prefix = [0] * n
+        # a_prefix = alpha(prefix walked so far), carried letter by letter
+        total = a_prefix = Fraction(0)
         for g, e in r.letters:
             if e == 1:
-                total += alpha(prefix) * beta.values[g]
-                prefix[g] += 1
+                total += a_prefix * b[g]
+                a_prefix += a[g]
             else:
-                prefix[g] -= 1
-                total -= alpha(prefix) * beta.values[g]
+                a_prefix -= a[g]
+                total -= a_prefix * b[g]
         values.append(total)
     return TwoCochainClass(presentation=p, values=tuple(values))
 
@@ -171,32 +173,24 @@ def cup_injectivity_check(p):
     """Is wedge^2 H^1(G,Q) -> H^2 injective on the presentation 2-complex?
 
     Returns the verdict together with a basis of the kernel in wedge
-    coordinates of the computed H^1 basis.
+    coordinates of the computed H^1 basis.  Built once per presentation.
     """
+    if "cup" in p._memo:
+        return p._memo["cup"]
     basis = h1_cocycle_basis(p)
     b1 = len(basis)
     pairs = [(s, t) for s in range(b1) for t in range(s + 1, b1)]
-    nrel = len(p.relators)
     cup_vals = [cup_product(p, basis[s], basis[t]).values for s, t in pairs]
     A = p.exponent_matrix()
     # kernel = wedge coefficient vectors whose cup values land in im(delta^1)
-    ncols = len(pairs) + p.num_generators
-    rows = []
-    for j in range(nrel):
-        row = [Fraction(cup_vals[k][j]) for k in range(len(pairs))]
-        row += [Fraction(A[j, i]) for i in range(p.num_generators)]
-        rows.append(row)
-    if rows:
-        combos = nullspace(rows, width=ncols)
-    else:
-        combos = [[Fraction(1) if i == j else Fraction(0) for i in range(ncols)]
-                  for j in range(ncols)]
+    rows = [[v[j] for v in cup_vals] + list(A.row(j)) for j in range(A.rows)]
     kernel = QSpace(len(pairs))
-    for combo in combos:
+    for combo in nullspace(rows, width=len(pairs) + A.cols):
         kernel.add(combo[:len(pairs)])
-    return CupInjectivityReport(
+    p._memo["cup"] = CupInjectivityReport(
         injective=(kernel.dim == 0),
         wedge_pairs=tuple(pairs),
         cocycle_basis=tuple(basis),
         kernel_basis=tuple(tuple(v) for v in kernel.basis()),
         cup_values=tuple(tuple(v) for v in cup_vals))
+    return p._memo["cup"]

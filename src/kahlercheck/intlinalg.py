@@ -137,6 +137,11 @@ class SNFResult:
     def rank(self):
         return sum(1 for d in self.diagonal if d != 0)
 
+    def cokernel(self):
+        """Z^cols modulo the row span of A."""
+        torsion = tuple(d for d in self.diagonal if d > 1)
+        return AbelianStructure(rank=self.D.cols - self.rank, torsion=torsion)
+
 
 @dataclass(frozen=True)
 class AbelianStructure:
@@ -285,25 +290,23 @@ def cokernel(A):
     With A the relator-by-generator exponent matrix this is the
     abelianization of the presented group.
     """
-    snf = smith_normal_form(A)
-    rank = A.cols - snf.rank
-    torsion = tuple(d for d in snf.diagonal if d > 1)
-    return AbelianStructure(rank=rank, torsion=torsion)
+    return smith_normal_form(A).cokernel()
 
 
 def inverse_unimodular(M):
-    """Exact integer inverse of a matrix with determinant +-1."""
+    """Exact integer inverse of a matrix with determinant +-1.
+
+    U*M*V = I in the Smith form, so M^-1 = V*U.
+    """
     if M.rows != M.cols:
         raise ValueError("only square matrices invert")
     n = M.rows
-    cols = []
-    for j in range(n):
-        e = [1 if i == j else 0 for i in range(n)]
-        x = solve_integer(M, e)
-        if x is None:
-            raise ValueError("matrix is not unimodular")
-        cols.append(x)
-    return IntMatrix(n, n, [[cols[j][i] for j in range(n)] for i in range(n)])
+    snf = smith_normal_form(M)
+    if snf.diagonal != (1,) * n:
+        raise ValueError("matrix is not unimodular")
+    inv = snf.V.mul(snf.U)
+    assert M.mul(inv) == IntMatrix.identity(n)
+    return inv
 
 
 # ---------------------------------------------------------------------------

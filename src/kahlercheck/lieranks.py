@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 from .intlinalg import SparseEchelon, nullspace, solve_integer
-from .presentation import IN_NILPOTENT, VerificationError
+from .presentation import DEFAULT_DIM_BUDGET, IN_NILPOTENT, VerificationError
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -41,9 +41,6 @@ class BudgetExceededError(RuntimeError):
             % (required, budget))
         self.required = required
         self.budget = budget
-
-
-DEFAULT_DIM_BUDGET = 5000
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +219,9 @@ class TruncatedQuotientAlgebra:
 
     Exposes graded dimensions, the graded Lie (left-normed bracket) parts,
     normal forms for elements, and filtered bracket representatives.
+    presentation names the group the seeds come from and is not stored:
+    the presentation's memo keeps the algebra, and a reference back would
+    make a cycle that outlives the presentation until garbage collection.
     """
 
     def __init__(self, num_gens, seeds, degree, dim_budget=DEFAULT_DIM_BUDGET,
@@ -230,7 +230,6 @@ class TruncatedQuotientAlgebra:
             raise ValueError("degree bound must be >= 1")
         self.num_gens = num_gens
         self.degree = degree
-        self.presentation = presentation
         self.table = MonomialTable(num_gens, degree)
         if self.table.total > dim_budget:
             raise BudgetExceededError(self.table.total, dim_budget)
@@ -348,19 +347,33 @@ class TruncatedQuotientAlgebra:
         return self.nf(prod)
 
 
-def build_quotient_algebra(p, degree, dim_budget=DEFAULT_DIM_BUDGET):
-    """Truncated quotient algebra of a presentation: ideal seeded by
-    magnus(r) - 1 over all relators r."""
+def _quotient_algebra(p, degree, dim_budget):
     seeds = [magnus_minus_one(r, degree, p.num_generators)
              for r in p.relators]
     return TruncatedQuotientAlgebra(p.num_generators, seeds, degree,
                                     dim_budget=dim_budget, presentation=p)
 
 
+def build_quotient_algebra(p, degree, dim_budget=DEFAULT_DIM_BUDGET):
+    """Truncated quotient algebra of a presentation: ideal seeded by
+    magnus(r) - 1 over all relators r.
+
+    Built once per presentation and degree; callers only read it.  A kept
+    algebra over dim_budget raises as a fresh build would.
+    """
+    key = ("algebra", degree)
+    if key not in p._memo:
+        p._memo[key] = _quotient_algebra(p, degree, dim_budget)
+    alg = p._memo[key]
+    if alg.table.total > dim_budget:
+        raise BudgetExceededError(alg.table.total, dim_budget)
+    return alg
+
+
 def lcs_ranks(p, degree, dim_budget=DEFAULT_DIM_BUDGET):
     """Ranks of the rationalized lower-central-series quotients, degrees
-    1..degree."""
-    alg = build_quotient_algebra(p, degree, dim_budget)
+    1..degree; nothing else reads this algebra, so it is not kept."""
+    alg = _quotient_algebra(p, degree, dim_budget)
     return GradedRanks(tuple(alg.lie_ranks[1:degree + 1]))
 
 
@@ -377,16 +390,8 @@ def holonomy_ranks(p, degree, dim_budget=DEFAULT_DIM_BUDGET):
     if b1 == 0:
         return GradedRanks((0,) * degree)
     pairs = report.wedge_pairs
-    if report.kernel_basis:
-        # annihilator of the kernel inside Q^pairs
-        transposed = [[row[i] for row in report.kernel_basis]
-                      for i in range(len(pairs))]
-        ann = nullspace([[transposed[i][j] for i in range(len(pairs))]
-                         for j in range(len(report.kernel_basis))],
-                        width=len(pairs))
-    else:
-        ann = [[_F1 if i == j else _F0 for i in range(len(pairs))]
-               for j in range(len(pairs))]
+    # annihilator of the kernel inside Q^pairs
+    ann = nullspace([list(v) for v in report.kernel_basis], width=len(pairs))
     seeds = []
     for rel in ann:
         s = TruncatedSeries.zero(degree)

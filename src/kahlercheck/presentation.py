@@ -28,6 +28,7 @@ EXACT = "verified-exactly"
 _LEVEL_ORDER = {UNVERIFIED: 0, IN_ABELIANIZATION: 1, IN_NILPOTENT: 2, EXACT: 3}
 
 _RESERVED = {"group", "hom", "gens", "rels", "central"}
+DEFAULT_DIM_BUDGET = 5000  # basis monomials of a truncated quotient algebra
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
@@ -138,11 +139,18 @@ def commutator(u, v):
 
 @dataclass(frozen=True)
 class Presentation:
-    """Finitely presented group: named generators plus relator words."""
+    """Finitely presented group: named generators plus relator words.
+
+    ``_memo`` keeps what is derived from it (Smith form, cup report,
+    quotient algebras) so each is built once; equality, hashing and
+    ``dataclasses.replace`` ignore it.
+    """
 
     generators: tuple
     relators: tuple
     name: str = "G"
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     @property
     def num_generators(self):
@@ -295,12 +303,13 @@ def surface_genus(p):
     return g if p.relators[0] == expected.cyclically_reduced() else None
 
 
-def verify_hom(h, level, nilpotency_class=0):
+def verify_hom(h, level, nilpotency_class=0, dim_budget=DEFAULT_DIM_BUDGET):
     """Check every source relator maps to the identity at the requested
     level, returning the hom annotated with the achieved level.
 
     Levels: abelianization (always decidable, integer linear algebra),
-    class-c nilpotent quotient (rational Magnus quotient; the integral
+    class-c nilpotent quotient (rational Magnus quotient within the basis
+    budget dim_budget, raising BudgetExceededError beyond it; the integral
     abelianization check is included so levels stay totally ordered), and
     exact, when the target has a word-problem decision procedure here:
     free groups (free reduction), visibly free abelian groups (exponent
@@ -332,7 +341,7 @@ def verify_hom(h, level, nilpotency_class=0):
 
     # class-c nilpotent quotient, over Q, on top of the integral H1 check
     from .lieranks import build_quotient_algebra
-    alg = build_quotient_algebra(h.target, nilpotency_class)
+    alg = build_quotient_algebra(h.target, nilpotency_class, dim_budget)
     for idx, w in enumerate(relator_images):
         if not alg.element_is_trivial(w):
             raise VerificationError(
@@ -506,13 +515,6 @@ class _Parser:
             word = free_reduce(base_letters) ** n
             return list(word.letters)
         return base_letters
-
-    def parse_namelist(self):
-        names = [self.expect("name")[1]]
-        while self.peek()[:2] == ("punct", ","):
-            self.next()
-            names.append(self.expect("name")[1])
-        return names
 
     def parse_group_body(self, name):
         """gens: ... ; rels: ... ; (central: ... ;)?"""

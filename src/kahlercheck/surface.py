@@ -15,6 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .extensions import (ExtensionShapeError, class_and_torsion,
+                         recognize_extension)
+from .homology import h1
 from .intlinalg import IntMatrix, cokernel
 from .presentation import (EXACT, Word, build_presentation, commutator,
                            free_reduce, surface_genus, verify_hom)
@@ -168,13 +171,51 @@ def orbifold_kernel_h1_check(orb):
 # obstruction for central extensions over surface groups
 
 
+def surface_base_verdict(E, cls, maximality_asserted):
+    """The surface-base obstruction for a recognized extension E with
+    splitting class cls: (verdict, notes).
+
+    A non-torsion class over a surface base of genus g >= 2 rules out a
+    Kahler total group provided the projection onto the base is maximal
+    (does not factor through a higher-genus surface group).  Maximality is
+    the caller's assertion or, automatically, b1(total) = 2g.  The verdict
+    is "not_kahler", "caveat" (it would fire, but the kernel hypothesis of
+    E was not verified), "inconclusive" or "consistent"; notes holds the
+    base genus and maximality when they were consulted, and the reason for
+    an inconclusive verdict.
+    """
+    if cls.verdict != "non_torsion":
+        return "consistent", {}
+    genus = surface_genus(E.base)
+    if genus is None or genus < 2:
+        return "inconclusive", {
+            "reason": "non-torsion class, but the base is not a surface "
+                      "presentation of genus >= 2"}
+    if maximality_asserted:
+        maximality = "asserted"
+    elif h1(E.total).rank == 2 * genus:
+        maximality = "automatic (b1 = 2g caps the genus)"
+    else:
+        return "inconclusive", {
+            "base_surface_genus": genus, "maximality": None,
+            "reason": "non-torsion class over a surface base, but maximality "
+                      "is not established; pass --assert-maximal if it holds"}
+    notes = {"base_surface_genus": genus, "maximality": maximality}
+    return ("caveat" if cls.kernel_caveat else "not_kahler"), notes
+
+
 @dataclass(frozen=True)
 class SurfaceMapReport:
+    """The surface-base obstruction for a surjection onto a surface group,
+    with maximality and verdict as surface_base_verdict gives them
+    (maximality is None unless it was consulted and established)."""
+
     genus: int
     h1_surjective: bool
     ext_class: object            # ExtensionClass
-    maximality: str              # "asserted" | "automatic (b1 = 2g)" | "not established"
-    verdict: str                 # "not_kahler" | "conditional" | "consistent"
+    maximality: object           # "asserted" | "automatic (...)" | None
+    verdict: str                 # "not_kahler" | "caveat" | "inconclusive"
+                                 # | "consistent"
 
     @property
     def obstructed(self):
@@ -188,14 +229,8 @@ def maximal_surface_map_check(h, central_names, maximality_asserted=False):
     Requires the source presented as a central extension whose base is the
     standard surface presentation and the map the canonical projection;
     the map is verified exactly with Dehn's algorithm and surjectivity is
-    certified at the H1 level.  A non-torsion splitting obstruction rules
-    out a Kahler source provided the map is maximal (does not factor
-    through a higher-genus surface group); maximality is taken from the
-    caller's assertion or, automatically, from b1(source) = 2g.
+    certified at the H1 level.  The verdict is surface_base_verdict's.
     """
-    from .extensions import (ExtensionShapeError, class_and_torsion,
-                             recognize_extension)
-    from .homology import h1
     g = surface_genus(h.target)
     if g is None or g < 2:
         raise ValueError("target must be a standard surface presentation "
@@ -227,17 +262,7 @@ def maximal_surface_map_check(h, central_names, maximality_asserted=False):
                          "onto the surface group")
 
     cls = class_and_torsion(E)
-    b1_source = h1(h.source).rank
-    if maximality_asserted:
-        maximality = "asserted"
-    elif b1_source == 2 * g:
-        maximality = "automatic (b1 = 2g)"
-    else:
-        maximality = "not established"
-    if cls.verdict == "non_torsion":
-        verdict = "not_kahler" if maximality != "not established" \
-            else "conditional"
-    else:
-        verdict = "consistent"
+    verdict, notes = surface_base_verdict(E, cls, maximality_asserted)
     return SurfaceMapReport(genus=g, h1_surjective=h1_onto, ext_class=cls,
-                            maximality=maximality, verdict=verdict)
+                            maximality=notes.get("maximality"),
+                            verdict=verdict)

@@ -138,3 +138,23 @@ def pivot_columns(rows, width):
             pivots.append(j)
         prev = r
     return pivots
+
+
+def prefix_cup_values(relators, alpha, beta):
+    """Cup product values of two 1-cocycles (values per generator) on each
+    relator (a letter sequence), re-evaluating alpha on the exponent vector
+    of every prefix: a positive letter y after prefix p adds
+    alpha(p) * beta(y), a negative one subtracts alpha(p y^-1) * beta(y)."""
+    out = []
+    for letters in relators:
+        total = 0
+        prefix = [0] * len(alpha)
+        for g, e in letters:
+            if e == 1:
+                total += sum(a * x for a, x in zip(alpha, prefix)) * beta[g]
+                prefix[g] += 1
+            else:
+                prefix[g] -= 1
+                total -= sum(a * x for a, x in zip(alpha, prefix)) * beta[g]
+        out.append(total)
+    return out

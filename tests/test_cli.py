@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from kahlercheck.cli import (CONSISTENT, INCONCLUSIVE, NOT_KAHLER,
                              NOT_KAHLER_HOM, _overall, emit_report, main)
 
@@ -22,6 +24,37 @@ def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv, "--format", "json")
     assert code == 0, err
     return json.loads(out)
+
+
+def golden_cases():
+    grp = sorted(f for f in os.listdir(INPUTS) if f.endswith(".grp"))
+    cases = [("analyze_" + f[:-4], ["analyze", f]) for f in grp]
+    for f in grp:
+        with open(input_path(f)) as fh:
+            if "central:" in fh.read():
+                cases.append(("ext_" + f[:-4], ["ext", f]))
+    hom = ["hom", "example_2_4.hom"]
+    cases += [("hom_example_2_4_p", hom + ["--select", "p"]),
+              ("hom_example_2_4_q", hom + ["--select", "q"]),
+              ("hom_example_2_4_q_p", hom + ["--compose", "q,p"]),
+              ("hom_derived_image", ["hom", "derived_image.hom"])]
+    return cases
+
+
+@pytest.mark.parametrize("name,argv", golden_cases(),
+                         ids=[name for name, _ in golden_cases()])
+def test_reports_match_golden(name, argv, monkeypatch, capsys):
+    """JSON reports on inputs/ are byte-identical to tests/golden/NAME.json.
+
+    Run from inputs/, so the report records the basename.  A golden file
+    changes only with a deliberate change of a report:
+    cd inputs && kahlercheck ARGV --format json > ../tests/golden/NAME.json
+    """
+    monkeypatch.chdir(INPUTS)
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 0, err
+    with open(os.path.join(HERE, "golden", name + ".json")) as fh:
+        assert out == fh.read()
 
 
 def test_analyze_intro(capsys):
@@ -212,6 +245,26 @@ def test_ext_budget_degrades_to_inconclusive(capsys):
         assert t["witness"] == {"reason": "budget exceeded", "required": 13,
                                 "budget": 10}
     assert report["overall"] == INCONCLUSIVE
+
+
+def test_hom_budget_bounds_verification(tmp_path, capsys):
+    # no exact word problem here, and the class-3 algebra of a rank-4
+    # group needs 1 + 4 + 16 + 64 = 85 basis monomials
+    hom = tmp_path / "hz.hom"
+    hom.write_text(
+        "group HZ { gens: x,y,z,t; "
+        "rels: [x,y]z^-1,[x,z],[y,z],[x,t],[y,t],[z,t]; }\n"
+        "hom id : HZ -> HZ { x => x, y => y, z => z, t => t }\n")
+    report = run_json(capsys, "hom", str(hom), "--dim-budget", "50")
+    assert report["input"]["verification"] == "verified-in-abelianization"
+    by_name = {t["name"]: t for t in report["tests"]}
+    for name in ("lcs_strictness", "derived_image"):
+        assert by_name[name]["verdict"] == INCONCLUSIVE
+        assert by_name[name]["witness"] == {
+            "reason": "budget exceeded", "required": 85, "budget": 50}
+    report = run_json(capsys, "hom", str(hom))
+    assert report["input"]["verification"] == "verified-in-nilpotent-quotient"
+    assert report["input"]["nilpotency_class"] == 3
 
 
 def test_low_degree_formality_inconclusive(capsys):

@@ -7,8 +7,11 @@ from kahlercheck.homology import (TwoCochainClass, cup_injectivity_check,
                                   cup_product, h1, h1_cocycle_basis,
                                   h1_parity_check, one_cocycle)
 from kahlercheck.presentation import (EXACT, GroupHom, VerificationError,
-                                      compose, parse_presentation,
-                                      parse_word_in, verify_hom)
+                                      build_presentation, compose,
+                                      parse_presentation, parse_word_in,
+                                      verify_hom)
+
+from _oracles import prefix_cup_values, random_word
 
 
 def hom(source, target, images):
@@ -139,6 +142,31 @@ def test_cup_bilinear_and_antisymmetric_classes(pool):
             assert cup_product(p, combined, c).values == sum_vals
 
 
+def test_cup_product_matches_prefix_formula():
+    # two random relators on five generators leave at least three
+    # independent cocycles; about half the letters are inverses
+    rng = random.Random(11)
+    inverse_letters = 0
+    for _ in range(40):
+        rels = [random_word(rng, 5, rng.randint(4, 30)) for _ in range(2)]
+        p = build_presentation(["x%d" % i for i in range(5)], rels)
+        basis = h1_cocycle_basis(p)
+
+        def rand_cocycle():
+            coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                      for _ in basis]
+            return one_cocycle(p, [sum(c * b.values[i]
+                                       for c, b in zip(coeffs, basis))
+                                   for i in range(5)])
+        alpha, beta = rand_cocycle(), rand_cocycle()
+        expected = prefix_cup_values([r.letters for r in p.relators],
+                                     alpha.values, beta.values)
+        assert cup_product(p, alpha, beta).values == tuple(expected)
+        inverse_letters += sum(e == -1 for r in p.relators
+                               for _, e in r.letters)
+    assert inverse_letters > 100
+
+
 def test_cocycle_condition_enforced(pool):
     with pytest.raises(ValueError):
         one_cocycle(pool["cyclic3"], [1])
@@ -152,6 +180,15 @@ def test_cocycle_condition_enforced(pool):
 
 # ---------------------------------------------------------------------------
 # cup injectivity
+
+
+def test_smith_form_and_cup_report_are_built_once():
+    p = parse_presentation("gens: x,y; rels: [x,y];")
+    assert cup_injectivity_check(p) is cup_injectivity_check(p)
+    assert h1(p) == h1(p)
+    snf = p._memo["snf"]
+    h1(p)
+    assert p._memo["snf"] is snf
 
 
 def test_cup_injectivity_surface(pool):

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -25,6 +27,35 @@ def exact_hom(source, target, images):
 
 # ---------------------------------------------------------------------------
 # Magnus expansions
+
+
+def test_quotient_algebra_is_built_once_per_presentation():
+    text = "gens: x,y,c; rels: [x,y]c^-1, [x,c], [y,c];"
+    p = parse_presentation(text)
+    alg = build_quotient_algebra(p, 3)
+    assert build_quotient_algebra(p, 3) is alg
+    assert build_quotient_algebra(p, 2) is not alg
+    # a stored algebra still answers to the budget, as a fresh build does
+    with pytest.raises(BudgetExceededError) as stored:
+        build_quotient_algebra(p, 3, dim_budget=10)
+    with pytest.raises(BudgetExceededError) as fresh:
+        build_quotient_algebra(parse_presentation(text), 3, dim_budget=10)
+    assert (stored.value.required, stored.value.budget) == (40, 10)
+    assert stored.value.args == fresh.value.args
+    assert build_quotient_algebra(p, 3) is alg
+
+
+def test_kept_algebra_dies_with_its_presentation():
+    # no reference cycle: reference counting alone frees the presentation
+    # and what its memo keeps
+    p = parse_presentation("gens: x,y; rels: [x,y];")
+    alg = weakref.ref(build_quotient_algebra(p, 3))
+    gc.disable()
+    try:
+        del p
+        assert alg() is None
+    finally:
+        gc.enable()
 
 
 def test_magnus_single_letter(pool):

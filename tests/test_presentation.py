@@ -1,9 +1,11 @@
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kahlercheck.lieranks import BudgetExceededError, build_quotient_algebra
 from kahlercheck.presentation import (EXACT, IN_ABELIANIZATION, IN_NILPOTENT,
                                       UNVERIFIED, GroupHom, ParseError,
                                       VerificationError, Word, compose,
@@ -215,6 +217,23 @@ def test_verify_nilpotent_level(pool):
     assert v.level == IN_NILPOTENT and v.nilpotency_class == 3
     assert v.at_least(IN_ABELIANIZATION)
     assert not v.at_least(EXACT)
+
+
+def test_memo_is_not_part_of_the_value():
+    text = "gens: x,y; rels: [x,y];"
+    p = parse_presentation(text)
+    build_quotient_algebra(p, 2)
+    assert p._memo
+    for q in (parse_presentation(text), dataclasses.replace(p)):
+        assert q == p and hash(q) == hash(p) and repr(q) == repr(p)
+        assert q._memo == {}
+
+
+def test_verify_nilpotent_level_respects_budget(pool):
+    h = hom_from_strings(pool["heisenberg"], pool["z2"], ["x", "y", "1"])
+    with pytest.raises(BudgetExceededError) as err:
+        verify_hom(h, IN_NILPOTENT, 3, dim_budget=10)
+    assert (err.value.required, err.value.budget) == (15, 10)
 
 
 def test_verify_unsupported_exact_target(pool):

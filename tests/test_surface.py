@@ -1,15 +1,19 @@
+import dataclasses
+import json
 import random
 
 import pytest
 
-from kahlercheck.extensions import ExtensionShapeError
+from kahlercheck.cli import main
+from kahlercheck.extensions import (ExtensionShapeError, class_and_torsion,
+                                    recognize_extension)
 from kahlercheck.homology import h1
 from kahlercheck.lieranks import build_quotient_algebra
 from kahlercheck.presentation import (GroupHom, Word, free_abelian_rank,
                                       parse_file, parse_word_in, word_str)
 from kahlercheck.surface import (dehn_trivial, maximal_surface_map_check,
                                  orbifold_group, orbifold_kernel_h1_check,
-                                 surface_group)
+                                 surface_base_verdict, surface_group)
 
 from _oracles import random_word
 
@@ -175,7 +179,7 @@ def test_surface_map_intro_fires():
     parsed = parse_file(INTRO_FILE)
     rep = maximal_surface_map_check(parsed.homs["proj"], ["c"])
     assert rep.obstructed
-    assert rep.maximality == "automatic (b1 = 2g)"
+    assert rep.maximality == "automatic (b1 = 2g caps the genus)"
     assert rep.ext_class.verdict == "non_torsion"
     assert rep.h1_surjective
 
@@ -187,6 +191,45 @@ def test_surface_map_split_product_consistent():
     assert not rep.obstructed
     assert rep.verdict == "consistent"
     assert rep.ext_class.verdict == "zero"
+
+
+@pytest.mark.parametrize("relator", ["[a1,a3][a2,a4]c^-1", "[a1,a3][a2,a4]"],
+                         ids=["intro_g2", "split_product"])
+def test_surface_map_agrees_with_ext_record(relator, tmp_path, capsys):
+    text = INTRO_FILE.replace("[a1,a3][a2,a4]c^-1", relator)
+    rep = maximal_surface_map_check(parse_file(text).homs["proj"], ["c"])
+    path = tmp_path / "intro.hom"
+    path.write_text(text)
+    assert main(["ext", str(path), "--group", "intro",
+                 "--format", "json"]) == 0
+    record = json.loads(capsys.readouterr().out)["tests"][1]
+    assert record["name"] == "central_extension"
+    assert record["verdict"] == rep.verdict
+    assert record["witness"].get("maximality") == rep.maximality
+
+
+def test_surface_base_verdict_branches():
+    intro = parse_file(INTRO_FILE).groups["intro"].presentation
+    E = recognize_extension(intro, ["c"])
+    cls = class_and_torsion(E)
+    automatic = {"base_surface_genus": 2,
+                 "maximality": "automatic (b1 = 2g caps the genus)"}
+    assert surface_base_verdict(E, cls, False) == ("not_kahler", automatic)
+    assert surface_base_verdict(E, cls, True) == (
+        "not_kahler", {"base_surface_genus": 2, "maximality": "asserted"})
+    caveat = dataclasses.replace(cls, kernel_caveat=True)
+    assert surface_base_verdict(E, caveat, False) == ("caveat", automatic)
+    # a second, free central generator lifts b1 to 5 != 2g
+    wide = recognize_extension(parse_file(
+        "group w { gens: a1,a2,a3,a4,c,d; rels: [a1,a3][a2,a4]c^-1, "
+        "[a1,c],[a2,c],[a3,c],[a4,c],[a1,d],[a2,d],[a3,d],[a4,d],[c,d]; }"
+    ).groups["w"].presentation, ["c", "d"])
+    verdict, notes = surface_base_verdict(wide, class_and_torsion(wide), False)
+    assert verdict == "inconclusive" and notes["maximality"] is None
+    assert notes["base_surface_genus"] == 2
+    assert "--assert-maximal" in notes["reason"]
+    assert surface_base_verdict(wide, class_and_torsion(wide), True)[0] == \
+        "not_kahler"
 
 
 def test_surface_map_identity_vacuous():
