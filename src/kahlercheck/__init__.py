@@ -22,8 +22,8 @@ from .lieranks import (BudgetExceededError, GradedRanks, TruncatedSeries,
                        formality_test, holonomy_ranks, lcs_ranks,
                        magnus_expansion, malcev_map, strictness_check)
 from .presentation import (EXACT, IN_ABELIANIZATION, IN_NILPOTENT,
-                           UNVERIFIED, Generator, GroupHom, ParseError,
-                           Presentation, VerificationError, Word,
+                           UNVERIFIED, Generator, GroupHom, InternalError,
+                           ParseError, Presentation, VerificationError, Word,
                            build_presentation, commutator, compose,
                            free_reduce, parse_file, parse_presentation,
                            parse_word_in, serialize_presentation, verify_hom,

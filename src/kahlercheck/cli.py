@@ -11,7 +11,8 @@ certify that a group IS Kahler; verdicts are one-directional:
                                 was only partially verified
 
 Exit code 0 means the run completed (whatever the verdicts), 1 means the
-input was rejected (parse error, failed verification, unrecognized shape).
+input was rejected (parse error, failed verification, unrecognized shape),
+2 means an internal consistency check failed (a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from fractions import Fraction
 
 from . import extensions, homology, lieranks, surface
 from .lieranks import BudgetExceededError, DEFAULT_DIM_BUDGET
-from .presentation import (EXACT, IN_ABELIANIZATION, IN_NILPOTENT, ParseError,
-                           VerificationError, compose, parse_file,
-                           parse_word_in, serialize_presentation, verify_hom,
-                           word_str)
+from .presentation import (EXACT, IN_ABELIANIZATION, IN_NILPOTENT,
+                           InternalError, ParseError, VerificationError,
+                           compose, parse_file, parse_word_in,
+                           serialize_presentation, verify_hom, word_str)
 
 NOT_KAHLER = "not_kahler"
 NOT_KAHLER_HOM = "not_kahler_hom"
@@ -539,6 +540,9 @@ def main(argv=None):
     except ValueError as e:
         sys.stderr.write("error: %s\n" % e)
         return 1
+    except InternalError as e:
+        sys.stderr.write("internal error: %s\n" % e)
+        return 2
 
 
 if __name__ == "__main__":

@@ -26,9 +26,9 @@ from .intlinalg import (IntMatrix, SparseEchelon, inverse_unimodular,
                         smith_normal_form, solve_integer, solve_rational)
 from .lieranks import (DEFAULT_DIM_BUDGET, build_quotient_algebra,
                        magnus_minus_one)
-from .presentation import (IN_NILPOTENT, GroupHom, Word, _commutator_pair,
-                           build_presentation, commutator, free_reduce,
-                           verify_hom)
+from .presentation import (IN_NILPOTENT, GroupHom, InternalError, Word,
+                           _commutator_pair, build_presentation, commutator,
+                           free_reduce, verify_hom)
 
 VERDICT_ZERO = "zero"
 VERDICT_TORSION = "torsion"
@@ -332,7 +332,7 @@ def canonical_class2_extension(p, dim_budget=None):
         nf = alg.nf(series)
         coords = alg.lie_coordinates(2, alg.graded_slice(nf, 2))
         if coords is None:
-            raise RuntimeError("degree-2 Magnus part escaped the Lie part")
+            raise InternalError("degree-2 Magnus part escaped the Lie part")
         lambdas.append(coords)
 
     base_names = ["u%d" % (s + 1) for s in range(b1)]
@@ -357,7 +357,7 @@ def canonical_class2_extension(p, dim_budget=None):
     lattice_rows = [list(UM.row(i)) for i in range(UM.rows)
                     if any(UM.row(i))]
     if len(lattice_rows) != k2:
-        raise RuntimeError("degree-2 lattice rank %d != gr_2 rank %d"
+        raise InternalError("degree-2 lattice rank %d != gr_2 rank %d"
                            % (len(lattice_rows), k2))
     Lt = IntMatrix.from_rows(lattice_rows).transpose()
     lift_vectors = []

@@ -2,11 +2,18 @@
 lower-central-series quotients.
 
 A word maps into the degree-d truncated free associative algebra by the
-substitution x -> 1 + x, x^-1 -> 1 - x + x^2 - ...  The two-sided ideal
-generated by (expansion(r) - 1) over all relators r, built degree by
-degree, realizes the class-d Malcev quotient of the group: the dimension
-of the span of left-normed bracket monomials in the degree-n graded piece
-is the rank of the n-th lower-central-series quotient tensored with Q.
+substitution x -> 1 + x, x^-1 -> 1 - x + x^2 - ...  The expansion runs over
+the integers, one syllable x^k at a time: it multiplies by the truncated
+binomial series (1 + x)^k = sum_j C(k, j) x^j, where
+C(k, j) = (-1)^j C(|k| + j - 1, j) for k < 0.  That only shifts monomials,
+so the cost is linear in the number of syllables.  The coefficients become
+Fractions once, at the end.
+
+The two-sided ideal generated by (expansion(r) - 1) over all relators r,
+built degree by degree, realizes the class-d Malcev quotient of the group:
+the dimension of the span of left-normed bracket monomials in the degree-n
+graded piece is the rank of the n-th lower-central-series quotient
+tensored with Q.
 
 The holonomy (quadratic) model uses the same engine with degree-2 seeds
 read off the cup product: its degree-2 relation space is the annihilator
@@ -28,7 +35,8 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 from .intlinalg import SparseEchelon, nullspace, solve_integer
-from .presentation import DEFAULT_DIM_BUDGET, IN_NILPOTENT, VerificationError
+from .presentation import (DEFAULT_DIM_BUDGET, IN_NILPOTENT, InternalError,
+                           VerificationError)
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -107,27 +115,27 @@ def magnus_expansion(word, degree, num_gens):
     """
     if degree < 1:
         raise ValueError("degree bound must be >= 1")
-    out = TruncatedSeries.one(degree)
-    pos = {}
-    neg = {}
-    for g, e in word.letters:
+    coeffs = {(): 1}
+    for g, k in word.syllables():
         if g >= num_gens:
             raise ValueError("word uses generator index %d" % g)
-        if e == 1:
-            if g not in pos:
-                s = TruncatedSeries.one(degree)
-                s.add_term((g,), _F1)
-                pos[g] = s
-            out = out.mul(pos[g])
-        else:
-            if g not in neg:
-                s = TruncatedSeries.zero(degree)
-                sign = _F1
-                for k in range(degree + 1):
-                    s.add_term((g,) * k, sign)
-                    sign = -sign
-                neg[g] = s
-            out = out.mul(neg[g])
+        series = _power_series(k, degree)
+        out = {}
+        for mon, c in coeffs.items():
+            key = mon
+            for cj in series[:degree - len(mon) + 1]:
+                out[key] = out.get(key, 0) + c * cj
+                key += (g,)
+        coeffs = {m: c for m, c in out.items() if c}
+    return TruncatedSeries(degree, {m: Fraction(c) for m, c in coeffs.items()})
+
+
+def _power_series(k, degree):
+    """Coefficients C(k, j) of x^j in (1 + x)^k for j <= degree, stopping
+    at j = k when k > 0; for k < 0, C(k, j) = (-1)^j C(|k| + j - 1, j)."""
+    out = [1]
+    for j in range(min(k, degree) if k > 0 else degree):
+        out.append(out[-1] * (k - j) // (j + 1))
     return out
 
 
@@ -428,7 +436,7 @@ def formality_test(p, degree, dim_budget=DEFAULT_DIM_BUDGET):
     lcs = lcs_ranks(p, degree, dim_budget)
     hol = holonomy_ranks(p, degree, dim_budget)
     if lcs[1] != hol[1] or lcs[2] != hol[2]:
-        raise RuntimeError(
+        raise InternalError(
             "internal inconsistency: degree 1-2 ranks must agree "
             "(%r vs %r)" % (lcs.ranks, hol.ranks))
     for n in range(3, degree + 1):
@@ -486,7 +494,7 @@ def malcev_map(h, degree, dim_budget=DEFAULT_DIM_BUDGET):
             nf = tgt.nf(series)
             coords = tgt.lie_coordinates(n, tgt.graded_slice(nf, n))
             if coords is None:
-                raise RuntimeError(
+                raise InternalError(
                     "graded image slice escaped the Lie part in degree %d" % n)
             cols.append(coords)
         rank_t = tgt.lie_ranks[n]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 
 from .intlinalg import IntMatrix, solve_integer
 
@@ -37,6 +38,10 @@ class ParseError(ValueError):
         super().__init__("line %d, column %d: %s" % (line, col, message))
         self.line = line
         self.col = col
+
+
+class InternalError(RuntimeError):
+    """An internal consistency check failed: a bug, not bad input."""
 
 
 class VerificationError(ValueError):
@@ -68,6 +73,32 @@ def free_reduce(letters):
     return Word(tuple(stack))
 
 
+def _extend_reduced(stack, letters):
+    """Append a freely reduced letter sequence to a freely reduced list:
+    only the letters meeting at the junction can cancel."""
+    k = 0
+    while k < len(letters) and stack and \
+            stack[-1] == (letters[k][0], -letters[k][1]):
+        stack.pop()
+        k += 1
+    stack.extend(letters[k:])
+
+
+def _inverse_letters(letters):
+    inverse = {x: (x[0], -x[1]) for x in set(letters)}
+    return tuple(map(inverse.__getitem__, reversed(letters)))
+
+
+def _cancelling_ends(letters):
+    """Number of letters at each end that cyclic reduction removes: the
+    i-th letter cancels against the i-th from the end."""
+    i, j = 0, len(letters) - 1
+    while i < j and letters[i] == (letters[j][0], -letters[j][1]):
+        i += 1
+        j -= 1
+    return i
+
+
 @dataclass(frozen=True)
 class Generator:
     name: str
@@ -92,29 +123,29 @@ class Word:
         return len(self.letters)
 
     def __mul__(self, other):
-        return free_reduce(self.letters + other.letters)
+        letters = list(self.letters)
+        _extend_reduced(letters, other.letters)
+        return Word(tuple(letters))
 
     def inverse(self):
-        return Word(tuple((g, -e) for g, e in reversed(self.letters)))
+        return Word(_inverse_letters(self.letters))
 
     def __pow__(self, n):
+        """w^n = p c^n p^-1 for w = p c p^-1 with c cyclically reduced:
+        the copies of c meet without cancelling."""
         if n == 0:
             return Word()
-        base = self if n > 0 else self.inverse()
-        out = Word()
-        for _ in range(abs(n)):
-            out = out * base
-        return out
+        ls = self.letters if n > 0 else _inverse_letters(self.letters)
+        k = _cancelling_ends(ls)
+        return Word(ls[:k] + ls[k:len(ls) - k] * abs(n) + ls[len(ls) - k:])
 
     def conjugated_by(self, w):
         """w * self * w^-1."""
         return w * self * w.inverse()
 
     def cyclically_reduced(self):
-        letters = list(self.letters)
-        while len(letters) >= 2 and letters[0] == (letters[-1][0], -letters[-1][1]):
-            letters = letters[1:-1]
-        return Word(tuple(letters))
+        k = _cancelling_ends(self.letters)
+        return Word(self.letters[k:len(self.letters) - k]) if k else self
 
     def exponent_vector(self, num_gens):
         vec = [0] * num_gens
@@ -124,17 +155,16 @@ class Word:
 
     def syllables(self):
         """Run-length form [(generator index, signed exponent), ...]."""
-        out = []
-        for g, e in self.letters:
-            if out and out[-1][0] == g and (out[-1][1] > 0) == (e > 0):
-                out[-1] = (g, out[-1][1] + e)
-            else:
-                out.append((g, e))
-        return out
+        return [(g, e * len(list(run)))
+                for (g, e), run in groupby(self.letters)]
 
 
 def commutator(u, v):
-    return u * v * u.inverse() * v.inverse()
+    letters = list(u.letters)
+    for part in (v.letters, _inverse_letters(u.letters),
+                 _inverse_letters(v.letters)):
+        _extend_reduced(letters, part)
+    return Word(tuple(letters))
 
 
 @dataclass(frozen=True)
@@ -226,9 +256,9 @@ class GroupHom:
     def apply_to(self, word):
         letters = []
         for g, e in word.letters:
-            img = self.images[g] if e > 0 else self.images[g].inverse()
-            letters.extend(img.letters)
-        return free_reduce(letters)
+            img = self.images[g].letters
+            _extend_reduced(letters, img if e > 0 else _inverse_letters(img))
+        return Word(tuple(letters))
 
     def induced_h1_matrix(self):
         """Source-generators by target-generators exponent sums."""
@@ -429,6 +459,13 @@ def _tokenize(text):
 
 
 _MAX_WORD_NESTING = 64
+_MAX_WORD_LETTERS = 1_000_000  # letters one word may be built from
+
+
+def _check_letters(total, line, col):
+    if total > _MAX_WORD_LETTERS:
+        raise ParseError("word longer than %d letters" % _MAX_WORD_LETTERS,
+                         line, col)
 
 
 class _Parser:
@@ -475,7 +512,7 @@ class _Parser:
             self.depth -= 1
 
     def _parse_word_body(self, gen_index):
-        letters = []
+        letters = []  # freely reduced so far
         first = True
         while True:
             kind, value, line, col = self.peek()
@@ -483,38 +520,43 @@ class _Parser:
                 self.next()
                 if value not in gen_index:
                     raise ParseError("unknown generator %r" % value, line, col)
-                base = [(gen_index[value], 1)]
-                letters.extend(self._maybe_power(base))
+                term = self._maybe_power(((gen_index[value], 1),))
             elif kind == "punct" and value == "(":
                 self.next()
                 inner = self.parse_word(gen_index)
                 self.expect("punct", ")")
-                letters.extend(self._maybe_power(list(inner.letters)))
+                term = self._maybe_power(inner.letters)
             elif kind == "punct" and value == "[":
                 self.next()
                 u = self.parse_word(gen_index)
                 self.expect("punct", ",")
                 v = self.parse_word(gen_index)
+                _check_letters(2 * (len(u) + len(v)), line, col)
                 self.expect("punct", "]")
-                letters.extend(commutator(u, v).letters)
+                term = commutator(u, v).letters
             elif kind == "int" and value == "1":
                 self.next()
+                term = ()
             elif first:
                 self.error("expected a word")
             else:
                 break
+            _check_letters(len(letters) + len(term), line, col)
+            _extend_reduced(letters, term)
             first = False
-        return free_reduce(letters)
+        return Word(tuple(letters))
 
-    def _maybe_power(self, base_letters):
+    def _maybe_power(self, base):
+        """The letters of a freely reduced base, raised to the exponent
+        that follows, if one does."""
         kind, value, _, _ = self.peek()
         if kind == "punct" and value == "^":
             self.next()
-            tok = self.expect("int")
-            n = int(tok[1])
-            word = free_reduce(base_letters) ** n
-            return list(word.letters)
-        return base_letters
+            _, text, line, col = self.expect("int")
+            n = int(text)
+            _check_letters(len(base) * abs(n), line, col)
+            return (Word(base) ** n).letters
+        return base
 
     def parse_group_body(self, name):
         """gens: ... ; rels: ... ; (central: ... ;)?"""

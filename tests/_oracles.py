@@ -1,10 +1,12 @@
 """Independent oracles and generators shared by the test modules.
 
 Nothing here imports the code paths it is used to check: the Witt formula
-and the orbifold kernel order are closed-form number theory, and the
-random generators only build raw input data.
+and the orbifold kernel order are closed-form number theory, the word and
+Magnus oracles work letter by letter on raw letter tuples, and the random
+generators only build raw input data.
 """
 
+from fractions import Fraction
 from math import gcd, lcm, prod
 
 from kahlercheck.presentation import free_reduce
@@ -169,3 +171,31 @@ def orbifold_kernel_order(orders):
     prod(m_j) / lcm(m_j), which is 1 when r = 0.
     """
     return prod(orders) // lcm(*orders)
+
+
+def letterwise_magnus(letters, degree):
+    """Truncated Magnus expansion of a letter sequence as {monomial:
+    Fraction}, one full series product per letter: x -> 1 + x and
+    x^-1 -> 1 - x + x^2 - ... (the expansion before it ran by syllables)."""
+    out = {(): Fraction(1)}
+    for g, e in letters:
+        if e == 1:
+            factor = {(): Fraction(1), (g,): Fraction(1)}
+        else:
+            factor = {(g,) * k: Fraction((-1) ** k) for k in range(degree + 1)}
+        product = {}
+        for m1, c1 in out.items():
+            for m2, c2 in factor.items():
+                if len(m1) + len(m2) <= degree:
+                    product[m1 + m2] = product.get(m1 + m2, 0) + c1 * c2
+        out = {m: c for m, c in product.items() if c}
+    return out
+
+
+def slicing_cyclic_reduction(letters):
+    """Cyclic reduction by slicing off one cancelling end pair at a time."""
+    letters = list(letters)
+    while len(letters) >= 2 and letters[0] == (letters[-1][0],
+                                               -letters[-1][1]):
+        letters = letters[1:-1]
+    return tuple(letters)

@@ -138,6 +138,27 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert code == 1 and "error" in err
 
 
+def test_internal_error_exit_code(monkeypatch, capsys):
+    from kahlercheck import lieranks
+    from kahlercheck.presentation import InternalError
+
+    def broken(p, degree, dim_budget):
+        raise InternalError("internal inconsistency: test")
+    monkeypatch.setattr(lieranks, "formality_test", broken)
+    code, out, err = run(capsys, "analyze", input_path("gamma2.grp"))
+    assert code == 2 and out == ""
+    assert err == "internal error: internal inconsistency: test\n"
+
+    # the real consistency check raises it when degree 1-2 ranks disagree
+    monkeypatch.undo()
+    monkeypatch.setattr(lieranks, "holonomy_ranks",
+                        lambda p, degree, dim_budget: lieranks.GradedRanks(
+                            (0,) * degree))
+    code, out, err = run(capsys, "analyze", input_path("gamma2.grp"))
+    assert code == 2
+    assert err.startswith("internal error: internal inconsistency: degree 1-2")
+
+
 def test_missing_file_exit_code(capsys):
     code, out, err = run(capsys, "analyze", "no_such_file.grp")
     assert code == 1

@@ -8,7 +8,6 @@ presentations; and the CLI is re-run in a subprocess with a different
 hash seed to confirm reports do not depend on interpreter state.
 """
 
-import doctest
 import json
 import os
 import random
@@ -85,17 +84,6 @@ def test_degree_one_two_agreement_on_random_presentations():
         hol = holonomy_ranks(p, 2)
         assert lcs[1] == hol[1] == h1(p).rank
         assert lcs[2] == hol[2]
-
-
-def test_doctests_run():
-    import kahlercheck.intlinalg
-    import kahlercheck.lieranks
-    import kahlercheck.presentation
-    for module in (kahlercheck.intlinalg, kahlercheck.lieranks,
-                   kahlercheck.presentation):
-        result = doctest.testmod(module)
-        assert result.failed == 0, module.__name__
-        assert result.attempted > 0, module.__name__
 
 
 def test_reports_stable_across_processes():

@@ -13,10 +13,10 @@ from kahlercheck.lieranks import (BudgetExceededError, TruncatedSeries,
                                   malcev_map, strictness_check)
 from kahlercheck.presentation import (EXACT, IN_NILPOTENT, GroupHom,
                                       VerificationError, Word, compose,
-                                      parse_presentation, parse_word_in,
-                                      verify_hom)
+                                      free_reduce, parse_presentation,
+                                      parse_word_in, verify_hom)
 
-from _oracles import random_word, witt
+from _oracles import letterwise_magnus, random_word, witt
 
 
 def exact_hom(source, target, images):
@@ -83,6 +83,30 @@ def test_magnus_multiplicative(pool):
         lhs = magnus_expansion(u * v, d, 2)
         rhs = magnus_expansion(u, d, 2).mul(magnus_expansion(v, d, 2))
         assert lhs.coeffs == rhs.coeffs
+
+
+def random_syllable_word(rng, num_gens, syllables, max_exponent):
+    letters = []
+    for _ in range(syllables):
+        g = rng.randrange(num_gens)
+        k = rng.choice((1, -1)) * rng.randint(1, max_exponent)
+        letters += [(g, 1 if k > 0 else -1)] * abs(k)
+    return free_reduce(letters)
+
+
+def test_magnus_matches_letterwise_product():
+    rng = random.Random(29)
+    words = [(parse_word_in(parse_presentation("gens: x; rels: ;"), w), 1)
+             for w in ("x^60", "x^-60", "x^-1", "x^2 x^-1")]
+    for _ in range(40):
+        g = rng.randint(1, 4)
+        words.append((random_syllable_word(rng, g, rng.randint(0, 4), 60), g))
+    for w, g in words:
+        for degree in range(1, 6):
+            s = magnus_expansion(w, degree, g)
+            assert s.degree_bound == degree
+            assert s.coeffs == letterwise_magnus(w.letters, degree), w
+            assert all(type(c) is Fraction for c in s.coeffs.values())
 
 
 def test_magnus_degree1_is_exponent_vector(pool):

@@ -1,10 +1,12 @@
 import dataclasses
 import random
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kahlercheck.cli import main
 from kahlercheck.lieranks import BudgetExceededError, build_quotient_algebra
 from kahlercheck.presentation import (EXACT, IN_ABELIANIZATION, IN_NILPOTENT,
                                       UNVERIFIED, GroupHom, ParseError,
@@ -13,6 +15,8 @@ from kahlercheck.presentation import (EXACT, IN_ABELIANIZATION, IN_NILPOTENT,
                                       parse_file, parse_presentation,
                                       parse_word_in, serialize_presentation,
                                       surface_genus, verify_hom)
+
+from _oracles import random_word, slicing_cyclic_reduction
 
 letters_strategy = st.lists(
     st.tuples(st.integers(min_value=0, max_value=2),
@@ -48,8 +52,11 @@ def test_word_times_inverse_is_identity(letters):
     assert (w.inverse() * w).is_identity()
 
 
-@settings(max_examples=40, derandomize=True)
-@given(letters_strategy, st.integers(min_value=-3, max_value=3))
+@settings(max_examples=80, derandomize=True)
+@given(letters_strategy, st.integers(min_value=-7, max_value=7))
+@example([(0, 1), (1, 1), (0, -1)], 7)      # a b a^-1: not cyclically reduced
+@example([(0, 1), (1, -1), (2, 1), (0, -1)], -7)
+@example([(2, -1)], -6)
 def test_word_power_matches_repeated_product(letters, n):
     w = free_reduce(letters)
     expected = Word()
@@ -57,6 +64,17 @@ def test_word_power_matches_repeated_product(letters, n):
     for _ in range(abs(n)):
         expected = expected * step
     assert w ** n == expected
+
+
+def test_cyclically_reduced_matches_slicing():
+    rng = random.Random(11)
+    words = [random_word(rng, rng.randint(1, 3), rng.randint(0, 30))
+             for _ in range(300)]
+    # conjugates u w u^-1 have long cancelling ends
+    words += [u * w * u.inverse() for u, w in zip(words[:60], words[60:120])]
+    for w in words:
+        assert w.cyclically_reduced().letters == \
+            slicing_cyclic_reduction(w.letters)
 
 
 def test_cyclic_reduction():
@@ -84,6 +102,10 @@ def test_parse_commutator_sugar():
 def test_parse_power_expansion():
     p = parse_presentation("gens: a; rels: a^3;")
     assert p.relators[0].letters == ((0, 1),) * 3
+    q = parse_presentation("gens: a1, b1; rels: ;")
+    assert parse_word_in(q, "a1^32000").letters == ((0, 1),) * 32000
+    assert parse_word_in(q, "(a1 b1 a1^-1)^-32000").letters == \
+        ((0, 1),) + ((1, -1),) * 32000 + ((0, -1),)
 
 
 def test_parse_intro_example():
@@ -118,6 +140,53 @@ def test_parse_error_reports_position():
         parse_presentation("gens: x, x; rels: ;")
     with pytest.raises(ParseError, match="reserved"):
         parse_presentation("gens: rels; rels: ;")
+
+
+def nested_commutators(depth):
+    # each level is [previous, a1] or [previous, a2]; no letters cancel,
+    # so the length roughly doubles per level
+    text = "a1"
+    for i in range(depth):
+        text = "[%s, a%d]" % (text, 2 - i % 2)
+    return text
+
+
+def test_word_letter_cap_rejects_hostile_input(capsys):
+    p = parse_presentation("gens: a1, a2; rels: ;")
+    assert len(parse_word_in(p, nested_commutators(8))) < 2000
+    for argv in (["surface", "wordtest", "2", "a1^999999999"],
+                 ["surface", "wordtest", "2", nested_commutators(30)]):
+        start = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "word longer than 1000000 letters" in err
+        assert elapsed < 1.0
+    with pytest.raises(ParseError) as exc:
+        parse_word_in(p, "a1^600000 a2^600000")
+    assert exc.value.col == 11
+    assert len(parse_word_in(p, "(a1 a2)^500000")) == 1000000
+    assert parse_word_in(p, "(a1 a1^-1)^999999999").is_identity()
+
+
+def test_word_letter_cap_checks_before_building(monkeypatch):
+    import kahlercheck.presentation as presentation
+
+    def no_power(w, n):
+        raise AssertionError("built a power over the cap")
+
+    def no_commutator(u, v):
+        raise AssertionError("built a commutator over the cap")
+    p = parse_presentation("gens: a1, a2; rels: ;")
+    monkeypatch.setattr(Word, "__pow__", no_power)
+    for text in ("a1^999999999", "(a1 a2)^-500001"):
+        with pytest.raises(ParseError):
+            parse_word_in(p, text)
+    monkeypatch.undo()
+    monkeypatch.setattr(presentation, "commutator", no_commutator)
+    with pytest.raises(ParseError):
+        parse_word_in(p, "[a1^300000 a2^300000, a1^-200000]")
 
 
 def test_parse_central_clause():
@@ -246,7 +315,6 @@ def test_verify_unsupported_exact_target(pool):
 def test_exact_compose_exact_random_cases(pool):
     rng = random.Random(99)
     free2 = pool["free2"]
-    from _oracles import random_word
     for _ in range(15):
         f = GroupHom(source=free2, target=free2,
                      images=(random_word(rng, 2, 4), random_word(rng, 2, 4)))
