@@ -41,6 +41,9 @@ class InputError(Exception):
     pass
 
 
+_MAX_SCAN_N = 64  # the largest n --scan-n takes, and the default scan's cap
+
+
 def _jsonable(value):
     if isinstance(value, Fraction):
         return str(value) if value.denominator != 1 else value.numerator
@@ -319,12 +322,9 @@ def cmd_analyze(args):
     data = _read(args.file)
     parsed = _parse(data, args.file)
     block = _pick_group(parsed, args.group, args.file)
-    try:
-        tests = analyze(block, max_degree=args.max_degree,
-                        dim_budget=args.dim_budget,
-                        assert_maximal=args.assert_maximal)
-    except (VerificationError, extensions.ExtensionShapeError, ValueError) as e:
-        raise InputError(str(e))
+    tests = analyze(block, max_degree=args.max_degree,
+                    dim_budget=args.dim_budget,
+                    assert_maximal=args.assert_maximal)
     report = build_report(
         args.file, data, tests, _overall(tests, NOT_KAHLER), args.seed,
         _parameters(args), extra={"group": block.presentation.name})
@@ -342,10 +342,7 @@ def cmd_hom(args):
                 raise InputError("no hom named %r in %s" % (n, args.file))
         h = parsed.homs[names[-1]]
         for n in reversed(names[:-1]):
-            try:
-                h = compose(parsed.homs[n], h)
-            except ValueError as e:
-                raise InputError(str(e))
+            h = compose(parsed.homs[n], h)
         subject = "*".join(names)
     elif args.select:
         if args.select not in parsed.homs:
@@ -374,6 +371,8 @@ def cmd_hom(args):
 
 
 def cmd_ext(args):
+    if args.scan_n is not None and not 1 <= args.scan_n <= _MAX_SCAN_N:
+        raise InputError("--scan-n must be in 1..%d" % _MAX_SCAN_N)
     data = _read(args.file)
     parsed = _parse(data, args.file)
     block = _pick_group(parsed, args.group, args.file)
@@ -392,7 +391,7 @@ def cmd_ext(args):
                               INCONCLUSIVE, witness),
                  _test_record("central_extension", _EXTENSION_CRITERION,
                               INCONCLUSIVE, witness)]
-    except (extensions.ExtensionShapeError, KeyError, ValueError) as e:
+    except KeyError as e:
         raise InputError(str(e))
     else:
         tests = [_extension_class_record(E, cls, args.scan_n),
@@ -406,12 +405,12 @@ def cmd_ext(args):
 
 def _extension_class_record(E, cls, scan_n):
     """The designated extension's class, with a scan of pushout sections
-    for n = 1..scan_n (default: the base's torsion order, capped at 64)."""
-    scan_limit = scan_n
-    if scan_limit is None:
-        scan_limit = max(1, min(math.prod(homology.h1(E.base).torsion), 64))
+    for n = 1..scan_n (default: the base's torsion order, <= _MAX_SCAN_N)."""
+    if scan_n is None:
+        scan_n = max(1, min(math.prod(homology.h1(E.base).torsion),
+                            _MAX_SCAN_N))
     scan = {}
-    for n in range(1, scan_limit + 1):
+    for n in range(1, scan_n + 1):
         witness = extensions.section_search(E, n)
         scan[str(n)] = None if witness is None else [list(w) for w in witness]
     witness = {
@@ -446,10 +445,7 @@ def cmd_surface(args):
         return 0
     if args.surface_command == "wordtest":
         sg = surface.surface_group(args.g)
-        try:
-            w = parse_word_in(sg.presentation, args.word)
-        except ParseError as e:
-            raise InputError(str(e))
+        w = parse_word_in(sg.presentation, args.word)
         trivial = surface.dehn_trivial(args.g, w)
         sys.stdout.write("trivial\n" if trivial else "nontrivial\n")
         return 0
@@ -502,7 +498,7 @@ def make_parser():
     p.add_argument("--central", help="comma list of central generator names")
     p.add_argument("--scan-n", type=int, default=None,
                    help="scan sections of the multiplication-by-n pushouts "
-                        "for n = 1..N")
+                        "for n = 1..N, N in 1..%d" % _MAX_SCAN_N)
     p.add_argument("--assert-maximal", action="store_true")
     _add_common(p)
     p.set_defaults(func=cmd_ext)
@@ -531,13 +527,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as e:
-        sys.stderr.write("error: %s\n" % e)
-        return 1
-    except (ParseError, VerificationError) as e:
-        sys.stderr.write("error: %s\n" % e)
-        return 1
-    except ValueError as e:
+    except (InputError, ValueError) as e:
+        # ValueError covers ParseError, VerificationError, ExtensionShapeError
         sys.stderr.write("error: %s\n" % e)
         return 1
     except InternalError as e:

@@ -21,14 +21,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .homology import _exponent_snf, cup_injectivity_check, h1
+from .homology import cup_injectivity_check, h1
 from .intlinalg import (IntMatrix, SparseEchelon, inverse_unimodular,
-                        smith_normal_form, solve_integer, solve_rational)
+                        smith_normal_form, solve_rational)
 from .lieranks import (DEFAULT_DIM_BUDGET, build_quotient_algebra,
                        magnus_minus_one)
 from .presentation import (IN_NILPOTENT, GroupHom, InternalError, Word,
-                           _commutator_pair, build_presentation, commutator,
-                           free_reduce, verify_hom)
+                           _commutator_pair, _exponent_snf,
+                           build_presentation, commutator, free_reduce,
+                           verify_hom)
 
 VERDICT_ZERO = "zero"
 VERDICT_TORSION = "torsion"
@@ -77,7 +78,7 @@ class ExtensionClass:
         return self.verdict in (VERDICT_ZERO, VERDICT_TORSION)
 
 
-def recognize_extension(p, central_names, dim_budget=None):
+def recognize_extension(p, central_names, dim_budget=DEFAULT_DIM_BUDGET):
     """Decompose a presentation as a central extension over the subgroup
     generated by the non-central generators.
 
@@ -138,8 +139,6 @@ def recognize_extension(p, central_names, dim_budget=None):
 
     # kernel hypothesis: central generators rationally independent in the
     # class-2 quotient of the total group
-    if dim_budget is None:
-        dim_budget = DEFAULT_DIM_BUDGET
     alg = build_quotient_algebra(p, 2, dim_budget)
     ech = SparseEchelon()
     independent = 0
@@ -160,55 +159,35 @@ def recognize_extension(p, central_names, dim_budget=None):
         base_relator_sources=tuple(sources))
 
 
-def _minimal_multiple(A, v_col):
-    """Minimal n >= 1 with A*w = -n*v solvable over Z, or None when there
-    is no rational solution (n*e never vanishes)."""
-    snf = smith_normal_form(A)
-    c = snf.U.mul_vec([-x for x in v_col])
-    n = 1
-    for i in range(A.rows):
-        d = snf.diagonal[i] if i < len(snf.diagonal) else 0
-        if d:
-            # row i needs d | n*c_i
-            n = math.lcm(n, d // math.gcd(d, c[i] % d))
-        elif c[i]:
-            return None
-    return n
-
-
 def class_and_torsion(E):
     """Verdict for the splitting obstruction of a recognized extension.
 
     zero iff A*w = -v solves over Z; torsion of order n iff n is minimal
     with an integer solution for n*v; non-torsion iff no rational solution
-    exists.  Certificates carry the witnesses.
+    exists.  Certificates carry the witnesses.  Every system is solved
+    from the base's one Smith form.
     """
     A = E.base_exponent_matrix
-    k = E.kernel_rank
-    columns = [[v[l] for v in E.lift_vectors] for l in range(k)]
-    order = 1
-    for l, col in enumerate(columns):
-        n_l = _minimal_multiple(A, col)
-        if n_l is None:
-            cert = {"reason": "no rational solution",
-                    "coordinate": l,
-                    "rational_solution": None}
-            return ExtensionClass(vectors=E.lift_vectors,
-                                  verdict=VERDICT_NON_TORSION, order=0,
-                                  certificate=cert,
-                                  kernel_caveat=not E.kernel_hypothesis_verified)
-        order = math.lcm(order, n_l)
-    if order == 1:
-        witness = [solve_integer(A, [-x for x in col]) for col in columns]
+    snf = _exponent_snf(E.base)
+    rhs = [[-v[l] for v in E.lift_vectors] for l in range(E.kernel_rank)]
+    orders = [snf.minimal_multiple(b) for b in rhs]
+    order = 0 if None in orders else math.lcm(*orders)
+    if order == 0:
+        verdict = VERDICT_NON_TORSION
+        cert = {"reason": "no rational solution",
+                "coordinate": orders.index(None),
+                "rational_solution": None}
+    elif order == 1:
+        verdict = VERDICT_ZERO
+        witness = [snf.solve(b) for b in rhs]
+        assert all(A.mul_vec(w) == b for w, b in zip(witness, rhs))
         cert = {"reason": "integer section exists", "integer_witness": witness}
-        return ExtensionClass(vectors=E.lift_vectors, verdict=VERDICT_ZERO,
-                              order=1, certificate=cert,
-                              kernel_caveat=not E.kernel_hypothesis_verified)
-    rational = [solve_rational(A, [Fraction(-x) for x in col])
-                for col in columns]
-    cert = {"reason": "rational but not integral solution",
-            "rational_witness": [[str(x) for x in w] for w in rational]}
-    return ExtensionClass(vectors=E.lift_vectors, verdict=VERDICT_TORSION,
+    else:
+        verdict = VERDICT_TORSION
+        rational = [solve_rational(A, b) for b in rhs]
+        cert = {"reason": "rational but not integral solution",
+                "rational_witness": [[str(x) for x in w] for w in rational]}
+    return ExtensionClass(vectors=E.lift_vectors, verdict=verdict,
                           order=order, certificate=cert,
                           kernel_caveat=not E.kernel_hypothesis_verified)
 
@@ -252,13 +231,15 @@ def section_search(E, n):
     induced homomorphism into the pushout at class-2 level.
     """
     A = E.base_exponent_matrix
+    snf = _exponent_snf(E.base)
     k = E.kernel_rank
     solution_cols = []
     for l in range(k):
-        col = [n * v[l] for v in E.lift_vectors]
-        w = solve_integer(A, [-x for x in col])
+        b = [-n * v[l] for v in E.lift_vectors]
+        w = snf.solve(b)
         if w is None:
             return None
+        assert A.mul_vec(w) == b
         solution_cols.append(w)
     witness = [tuple(solution_cols[l][i] for l in range(k))
                for i in range(E.base.num_generators)]
@@ -302,22 +283,18 @@ class ClassTwoPushforward:
     note: str
 
 
-def canonical_class2_extension(p, dim_budget=None):
+def canonical_class2_extension(p, dim_budget=DEFAULT_DIM_BUDGET):
     """Extension 1 -> gr_2 lattice -> (class-2 quotient mod torsion)
     -> H1/torsion -> 1, with lift vectors from degree-2 Magnus parts."""
-    if dim_budget is None:
-        dim_budget = DEFAULT_DIM_BUDGET
     alg = build_quotient_algebra(p, 2, dim_budget)
     k2 = alg.lie_ranks[2]
     snf = _exponent_snf(p)
     g = p.num_generators
-    free_idx = [i for i in range(g)
-                if i >= len(snf.diagonal) or snf.diagonal[i] == 0]
-    b1 = len(free_idx)
+    b1 = g - snf.rank
 
     vinv = inverse_unimodular(snf.V)
     basis_words = []
-    for i in free_idx:
+    for i in range(snf.rank, g):  # the free coordinates of H1
         letters = []
         for j in range(g):
             e = vinv[i, j]
@@ -360,12 +337,10 @@ def canonical_class2_extension(p, dim_budget=None):
         raise InternalError("degree-2 lattice rank %d != gr_2 rank %d"
                            % (len(lattice_rows), k2))
     Lt = IntMatrix.from_rows(lattice_rows).transpose()
-    lift_vectors = []
-    for lam in lambdas:
-        rhs = [int(x * denom) for x in lam]
-        sol = solve_integer(Lt, rhs)
-        assert sol is not None
-        lift_vectors.append(sol)
+    lsnf = smith_normal_form(Lt)
+    lift_vectors = [lsnf.solve(list(M.row(j))) for j in range(M.rows)]
+    assert all(v is not None and Lt.mul_vec(v) == list(M.row(j))
+               for j, v in enumerate(lift_vectors))
 
     names = base_names + central
     nb = len(base_names)
@@ -406,7 +381,7 @@ class AbelianizationObstructionReport:
     obstructed: bool
 
 
-def abelianization_obstruction(p, dim_budget=None):
+def abelianization_obstruction(p, dim_budget=DEFAULT_DIM_BUDGET):
     """Kahler obstruction via the abelianization's splitting class.
 
     For a Kahler group with b1 = 2, or b1 = 4 and injective cup product,

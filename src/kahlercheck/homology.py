@@ -19,16 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intlinalg import (QSpace, nullspace, rational_rank, smith_normal_form,
-                        solve_rational)
-from .presentation import IN_ABELIANIZATION, VerificationError
-
-
-def _exponent_snf(p):
-    """Smith form of p's exponent matrix, built once per presentation."""
-    if "snf" not in p._memo:
-        p._memo["snf"] = smith_normal_form(p.exponent_matrix())
-    return p._memo["snf"]
+from .intlinalg import QSpace, nullspace, rational_rank, solve_rational
+from .presentation import IN_ABELIANIZATION, VerificationError, _exponent_snf
 
 
 def h1(p):
@@ -101,9 +93,7 @@ def one_cocycle(p, values):
     if len(values) != p.num_generators:
         raise ValueError("need one value per generator")
     c = OneCocycle(values)
-    for idx, r in enumerate(p.relators):
-        if c(r.exponent_vector(p.num_generators)) != 0:
-            raise ValueError("values do not vanish on relator %d" % idx)
+    _check_cocycle(p, c)
     return c
 
 
@@ -137,13 +127,21 @@ class TwoCochainClass:
         return diff.is_zero()
 
 
+def _check_cocycle(p, c):
+    for idx, r in enumerate(p.relators):
+        if c(r.exponent_vector(p.num_generators)) != 0:
+            raise ValueError("input is not a cocycle (fails on relator %d)"
+                             % idx)
+
+
 def cup_product(p, alpha, beta):
     """Cup product of two 1-cocycles as a 2-complex cochain class."""
-    for c in (alpha, beta):
-        for idx, r in enumerate(p.relators):
-            if c(r.exponent_vector(p.num_generators)) != 0:
-                raise ValueError("input is not a cocycle (fails on relator %d)"
-                                 % idx)
+    _check_cocycle(p, alpha)
+    _check_cocycle(p, beta)
+    return _cup(p, alpha, beta)
+
+
+def _cup(p, alpha, beta):
     a, b = alpha.values, beta.values
     values = []
     for r in p.relators:
@@ -180,7 +178,9 @@ def cup_injectivity_check(p):
     basis = h1_cocycle_basis(p)
     b1 = len(basis)
     pairs = [(s, t) for s in range(b1) for t in range(s + 1, b1)]
-    cup_vals = [cup_product(p, basis[s], basis[t]).values for s, t in pairs]
+    for c in basis:
+        _check_cocycle(p, c)
+    cup_vals = [_cup(p, basis[s], basis[t]).values for s, t in pairs]
     A = p.exponent_matrix()
     # kernel = wedge coefficient vectors whose cup values land in im(delta^1)
     rows = [[v[j] for v in cup_vals] + list(A.row(j)) for j in range(A.rows)]

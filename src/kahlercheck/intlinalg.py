@@ -20,6 +20,7 @@ Malcev computations in lieranks use as well.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -56,14 +57,6 @@ class IntMatrix:
 
     def row(self, i):
         return self._data[i]
-
-    def column(self, j):
-        return tuple(r[j] for r in self._data)
-
-    @property
-    def entries(self):
-        """Row-major flat tuple of entries."""
-        return tuple(x for row in self._data for x in row)
 
     def to_rows(self):
         return [list(r) for r in self._data]
@@ -141,6 +134,53 @@ class SNFResult:
         """Z^cols modulo the row span of A."""
         torsion = tuple(d for d in self.diagonal if d > 1)
         return AbelianStructure(rank=self.D.cols - self.rank, torsion=torsion)
+
+    def _least_multiple(self, c):
+        """Least n >= 1 with d_i | n*c_i for every i (a zero or missing d_i
+        divides only 0), or None.  A*x = n*b is D*y = n*c with c = U*b and
+        x = V*y, so every integer system over A is this test."""
+        n = 1
+        for i, ci in enumerate(c):
+            d = self.diagonal[i] if i < len(self.diagonal) else 0
+            if d:
+                n = math.lcm(n, d // math.gcd(d, ci % d))
+            elif ci:
+                return None
+        return n
+
+    def solve(self, b):
+        """Some integer x with A*x = b, or None.
+
+        >>> snf = smith_normal_form(IntMatrix.from_rows([[2, 4], [0, 3]]))
+        >>> snf.solve([2, 3]), snf.solve([1, 0])
+        ([-1, 1], None)
+        """
+        c = self.U.mul_vec(b)
+        if self._least_multiple(c) != 1:
+            return None
+        y = [ci // d for ci, d in zip(c, self.diagonal) if d]
+        return self.V.mul_vec(y + [0] * (self.D.cols - len(y)))
+
+    def minimal_multiple(self, b):
+        """Least n >= 1 with A*x = n*b solvable over Z, or None when there
+        is no rational solution.
+
+        >>> snf = smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 6]]))
+        >>> snf.minimal_multiple([1, 4]), snf.minimal_multiple([2, 6])
+        (6, 1)
+        >>> A = IntMatrix.from_rows([[1], [1]])
+        >>> smith_normal_form(A).minimal_multiple([0, 1]) is None
+        True
+        """
+        return self._least_multiple(self.U.mul_vec(b))
+
+    def in_row_lattice(self, vec):
+        """Is vec = y*A for an integer y, i.e. zero in the cokernel?  That
+        is vec*V = z*D with z = y*U^-1: the same test on c = vec*V."""
+        V = self.V
+        c = [sum(x * V[k, j] for k, x in enumerate(vec) if x)
+             for j in range(V.cols)]
+        return self._least_multiple(c) == 1
 
 
 @dataclass(frozen=True)
@@ -262,25 +302,14 @@ def smith_normal_form(A):
 def solve_integer(A, b):
     """Some integer x with A*x = b, or None when no such x exists.
 
-    Found by change of basis through the Smith form; the witness is
-    re-verified by multiplication before returning.
+    Read off the Smith form (SNFResult.solve); the witness is re-verified
+    by multiplication before returning.
     """
     b = [int(x) for x in b]
     if len(b) != A.rows:
         raise ValueError("right-hand side length does not match row count")
-    snf = smith_normal_form(A)
-    cb = snf.U.mul_vec(b)
-    y = [0] * A.cols
-    for i in range(A.rows):
-        d = snf.diagonal[i] if i < len(snf.diagonal) else 0
-        if d:
-            if cb[i] % d:
-                return None
-            y[i] = cb[i] // d
-        elif cb[i]:
-            return None
-    x = snf.V.mul_vec(y)
-    assert A.mul_vec(x) == b
+    x = smith_normal_form(A).solve(b)
+    assert x is None or A.mul_vec(x) == b
     return x
 
 

@@ -34,9 +34,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 
-from .intlinalg import SparseEchelon, nullspace, solve_integer
+from .intlinalg import SparseEchelon, nullspace
 from .presentation import (DEFAULT_DIM_BUDGET, IN_NILPOTENT, InternalError,
-                           VerificationError)
+                           VerificationError, _trivial_in_h1)
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -609,14 +609,9 @@ def derived_image_check(h, degree, dim_budget=DEFAULT_DIM_BUDGET):
     level vanishes).
     """
     _require_nilpotent_verification(h, degree, "derived_image_check")
-    At = h.target.exponent_matrix().transpose()
-    in_derived = True
-    for img in h.images:
-        vec = img.exponent_vector(h.target.num_generators)
-        if any(vec):
-            if solve_integer(At, vec) is None:
-                in_derived = False
-                break
+    in_derived = all(
+        _trivial_in_h1(h.target, img.exponent_vector(h.target.num_generators))
+        for img in h.images)
     tgt = build_quotient_algebra(h.target, degree, dim_budget)
     images = [magnus_minus_one(w, degree, tgt.num_gens) for w in h.images]
     witness = 0

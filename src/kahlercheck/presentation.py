@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass, field, replace
 from itertools import groupby
 
-from .intlinalg import IntMatrix, solve_integer
+from .intlinalg import IntMatrix, smith_normal_form
 
 # verification levels, weakest to strongest
 UNVERIFIED = "unverified"
@@ -208,6 +208,19 @@ class Presentation:
                 and self.relators == other.relators)
 
 
+def _exponent_snf(p):
+    """Smith form of p's exponent matrix, built once per presentation."""
+    if "snf" not in p._memo:
+        p._memo["snf"] = smith_normal_form(p.exponent_matrix())
+    return p._memo["snf"]
+
+
+def _trivial_in_h1(p, vec):
+    """Is the exponent vector vec zero in H1 of p, i.e. in the row lattice
+    of the exponent matrix?  A zero vector never needs the Smith form."""
+    return not any(vec) or _exponent_snf(p).in_row_lattice(vec)
+
+
 def build_presentation(names, relators, name="G"):
     """Build a Presentation from generator names and letter sequences.
 
@@ -384,13 +397,9 @@ def verify_hom(h, level, nilpotency_class=0, dim_budget=DEFAULT_DIM_BUDGET):
 
 
 def _check_abelianization(h, relator_images):
-    A = h.target.exponent_matrix()
-    At = A.transpose()
+    n = h.target.num_generators
     for idx, w in enumerate(relator_images):
-        vec = w.exponent_vector(h.target.num_generators)
-        if all(v == 0 for v in vec):
-            continue
-        if solve_integer(At, vec) is None:
+        if not _trivial_in_h1(h.target, w.exponent_vector(n)):
             raise VerificationError(
                 "relator %d is nontrivial in the target abelianization" % idx,
                 relator_index=idx, witness=w)

@@ -162,7 +162,7 @@ def orbifold_kernel_h1_check(orb):
     p = orb.presentation
     g2 = 2 * orb.genus
     r = len(orb.orders)
-    total = cokernel(p.exponent_matrix())
+    total = h1(p)
     # the kernel is generated by the images of the q's: the quotient of Z^r
     # by the q-columns of the relator matrix
     A = p.exponent_matrix()

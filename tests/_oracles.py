@@ -2,8 +2,10 @@
 
 Nothing here imports the code paths it is used to check: the Witt formula
 and the orbifold kernel order are closed-form number theory, the word and
-Magnus oracles work letter by letter on raw letter tuples, and the random
-generators only build raw input data.
+Magnus oracles work letter by letter on raw letter tuples, the integer
+solve oracles are the per-call loops the solvers had before they moved onto
+SNFResult (they take a Smith form, which the SymPy test checks on its own),
+and the random generators only build raw input data.
 """
 
 from fractions import Fraction
@@ -199,3 +201,42 @@ def slicing_cyclic_reduction(letters):
                                                -letters[-1][1]):
         letters = letters[1:-1]
     return tuple(letters)
+
+
+def loop_solve(snf, b):
+    """Integer x with A*x = b for the matrix A factored as snf, or None:
+    c = U*b must be divisible by the diagonal row by row (zero where the
+    diagonal is zero or missing), and then x = V*(c_i / d_i)."""
+    rows, cols = snf.D.rows, snf.D.cols
+    cb = snf.U.mul_vec(b)
+    y = [0] * cols
+    for i in range(rows):
+        d = snf.diagonal[i] if i < len(snf.diagonal) else 0
+        if d:
+            if cb[i] % d:
+                return None
+            y[i] = cb[i] // d
+        elif cb[i]:
+            return None
+    return snf.V.mul_vec(y)
+
+
+def loop_minimal_multiple(snf, b):
+    """Minimal n >= 1 with A*x = n*b solvable over Z for the matrix A
+    factored as snf, or None when there is no rational solution."""
+    c = snf.U.mul_vec(b)
+    n = 1
+    for i in range(snf.D.rows):
+        d = snf.diagonal[i] if i < len(snf.diagonal) else 0
+        if d:
+            # row i needs d | n*c_i
+            n = lcm(n, d // gcd(d, c[i] % d))
+        elif c[i]:
+            return None
+    return n
+
+
+def row_lattice_by_transpose(snf_of_transpose, vec):
+    """Is vec an integer combination of the rows of A?  Solve A^T*y = vec
+    with the Smith form of A^T."""
+    return loop_solve(snf_of_transpose, list(vec)) is not None

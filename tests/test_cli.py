@@ -1,10 +1,13 @@
 import json
 import os
+import time
 
 import pytest
 
 from kahlercheck.cli import (CONSISTENT, INCONCLUSIVE, NOT_KAHLER,
                              NOT_KAHLER_HOM, _overall, emit_report, main)
+from kahlercheck.intlinalg import IntMatrix
+from kahlercheck.presentation import parse_file
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 INPUTS = os.path.join(HERE, os.pardir, "inputs")
@@ -131,13 +134,6 @@ def test_surface_commands(capsys):
     assert code == 0 and out.strip() == "nontrivial"
 
 
-def test_parse_error_exit_code(tmp_path, capsys):
-    bad = tmp_path / "bad.grp"
-    bad.write_text("group g { gens: x,y rels: ; }")
-    code, out, err = run(capsys, "analyze", str(bad))
-    assert code == 1 and "error" in err
-
-
 def test_internal_error_exit_code(monkeypatch, capsys):
     from kahlercheck import lieranks
     from kahlercheck.presentation import InternalError
@@ -157,11 +153,6 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     code, out, err = run(capsys, "analyze", input_path("gamma2.grp"))
     assert code == 2
     assert err.startswith("internal error: internal inconsistency: degree 1-2")
-
-
-def test_missing_file_exit_code(capsys):
-    code, out, err = run(capsys, "analyze", "no_such_file.grp")
-    assert code == 1
 
 
 def test_json_reports_deterministic(capsys):
@@ -317,11 +308,105 @@ def test_overall_all_inconclusive():
     assert _overall(calm, NOT_KAHLER) == INCONCLUSIVE
 
 
-def test_hom_verification_failure_exits_one(tmp_path, capsys):
-    bad = tmp_path / "bad.hom"
-    bad.write_text("group z3 { gens: a; rels: a^3; }\n"
-                   "group z { gens: t; rels: ; }\n"
-                   "hom f : z3 -> z { a => t }\n")
-    code, out, err = run(capsys, "hom", str(bad))
-    assert code == 1
-    assert "relator 0" in err
+@pytest.mark.parametrize("value", ["0", "1000000000"])
+def test_scan_n_out_of_range_exits_one(value, capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "ext", input_path("intro_g2.grp"),
+                         "--scan-n", value)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err == "error: --scan-n must be in 1..64\n"
+
+
+def test_scan_n_accepts_the_cap(capsys):
+    report = run_json(capsys, "ext", input_path("torsion_order2.grp"),
+                      "--scan-n", "64")
+    scan = report["tests"][0]["witness"]["section_scan"]
+    assert list(scan) == [str(n) for n in range(1, 65)]
+    assert [n for n in scan if scan[n] is None] == [str(n) for n in
+                                                    range(1, 65, 2)]
+
+
+@pytest.mark.parametrize("files,argv,message", [
+    ({"bad.grp": "group g { gens: x,y rels: ; }"}, ["analyze", "bad.grp"],
+     "bad.grp: line 1"),
+    ({}, ["analyze", "missing.grp"], "cannot read missing.grp"),
+    ({"bad.hom": "group z3 { gens: a; rels: a^3; }\n"
+                 "group z { gens: t; rels: ; }\n"
+                 "hom f : z3 -> z { a => t }\n"}, ["hom", "bad.hom"],
+     "relator 0"),
+    ({}, ["surface", "orbifold", "1", "1"], "cone orders must be >= 2"),
+], ids=["parse_error", "missing_file", "failed_verification",
+        "bad_cone_order"])
+def test_rejected_input_exits_one(files, argv, message, tmp_path, monkeypatch,
+                                  capsys):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def spy_smith_forms(monkeypatch):
+    """Record the matrix of every Smith form the package computes."""
+    import importlib
+
+    from kahlercheck import intlinalg
+    original = intlinalg.smith_normal_form
+    calls = []
+
+    def spy(A):
+        calls.append(A)
+        return original(A)
+    for name in ("intlinalg", "presentation", "homology", "lieranks",
+                 "extensions", "surface", "cli"):
+        module = importlib.import_module("kahlercheck." + name)
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, spy)
+    return calls
+
+
+def test_ext_factors_the_base_once(monkeypatch, capsys):
+    calls = spy_smith_forms(monkeypatch)
+    report = run_json(capsys, "ext", input_path("torsion_order2.grp"))
+    base = IntMatrix.from_rows(
+        report["tests"][1]["witness"]["base_exponent_matrix"])
+    assert report["tests"][0]["witness"]["order"] == 2
+    assert sum(1 for A in calls if A == base) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["example_2_4.hom", "--select", "p"],
+    ["example_2_4.hom", "--select", "q"],
+    ["example_2_4.hom", "--compose", "q,p"],
+    ["derived_image.hom"],
+], ids=["p", "q", "q_p", "derived_image"])
+def test_hom_factors_the_target_at_most_once(argv, monkeypatch, capsys):
+    with open(input_path(argv[0])) as fh:
+        parsed = parse_file(fh.read())
+    targets = {h.target.exponent_matrix() for h in parsed.homs.values()}
+    calls = spy_smith_forms(monkeypatch)
+    run_json(capsys, "hom", input_path(argv[0]), *argv[1:])
+    for target in targets:
+        # H1 questions about the target may factor it or its transpose
+        forms = (target, target.transpose())
+        assert sum(1 for A in calls if A in forms) <= 1
+
+
+def test_hom_verified_in_h1_factors_the_target_once(tmp_path, monkeypatch,
+                                                     capsys):
+    # no exact word problem here, so every relator image and every
+    # generator image is tested in the target's H1
+    path = tmp_path / "torsion.hom"
+    path.write_text("group s { gens: a, b; rels: a^6, b^6, [a,b]; }\n"
+                    "group t { gens: x, y; rels: x^12, y^12, [x,y]; }\n"
+                    "hom f : s -> t { a => x^2, b => y^2 }\n")
+    target = parse_file(path.read_text()).homs["f"].target.exponent_matrix()
+    calls = spy_smith_forms(monkeypatch)
+    report = run_json(capsys, "hom", str(path))
+    assert report["input"]["verification"] == "verified-in-nilpotent-quotient"
+    derived = {t["name"]: t for t in report["tests"]}["derived_image"]
+    assert derived["witness"]["image_in_derived_subgroup"] is False
+    assert sum(1 for A in calls if A in (target, target.transpose())) == 1

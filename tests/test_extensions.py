@@ -120,6 +120,15 @@ def test_order_two_example():
     assert 2 * witness[0][0] - 2 * witness[1][0] == -2
 
 
+def test_non_torsion_certificate_names_the_coordinate():
+    # column 0 solves (v = 0); column 1 has no rational solution
+    p, central = build_extension_text(["x", "y"], ["[x,y]"], [(0, 1)], k=2)
+    cls = class_and_torsion(recognize_extension(p, central))
+    assert cls.verdict == VERDICT_NON_TORSION and cls.order == 0
+    assert cls.certificate == {"reason": "no rational solution",
+                               "coordinate": 1, "rational_solution": None}
+
+
 def test_surface_base_zero_iff_trivial_lift():
     for v in ((0,), (1,), (-2,)):
         p, central = build_extension_text(

@@ -191,6 +191,34 @@ def test_smith_form_and_cup_report_are_built_once():
     assert p._memo["snf"] is snf
 
 
+def test_cup_report_checks_each_basis_cocycle_once(monkeypatch):
+    from kahlercheck.homology import OneCocycle
+    g3 = parse_presentation(
+        "gens: a1,a2,a3,b1,b2,b3; rels: [a1,b1][a2,b2][a3,b3];")
+    original = OneCocycle.__call__
+    evaluations = []
+
+    def counted(self, vec):
+        evaluations.append(self)
+        return original(self, vec)
+    monkeypatch.setattr(OneCocycle, "__call__", counted)
+    rep = cup_injectivity_check(g3)
+    # b1 = 6 cocycles on one relator, not two per each of the 15 pairs
+    assert len(evaluations) == 6 * 1
+    assert len(rep.wedge_pairs) == 15 and len(rep.kernel_basis) == 14
+
+
+def test_cup_product_rejects_non_cocycles():
+    from kahlercheck.homology import OneCocycle
+    p = parse_presentation("gens: a,b; rels: a^2 b;")
+    good = one_cocycle(p, [1, -2])
+    bad = OneCocycle((Fraction(1), Fraction(0)))
+    for alpha, beta in ((bad, good), (good, bad)):
+        with pytest.raises(ValueError, match="fails on relator 0"):
+            cup_product(p, alpha, beta)
+    assert cup_product(p, good, good).is_zero()
+
+
 def test_cup_injectivity_surface(pool):
     rep = cup_injectivity_check(pool["gamma2"])
     assert not rep.injective

@@ -1,6 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+
+import pytest
 
 from kahlercheck.intlinalg import (IntMatrix, QSpace, cokernel,
                                    inverse_unimodular, nullspace,
@@ -9,7 +14,8 @@ from kahlercheck.intlinalg import (IntMatrix, QSpace, cokernel,
 from kahlercheck.presentation import parse_presentation
 
 from _oracles import (bareiss_rank, brute_force_snf_invariants,
-                      pivot_columns)
+                      loop_minimal_multiple, loop_solve, pivot_columns,
+                      row_lattice_by_transpose)
 
 
 def check_snf(A):
@@ -92,6 +98,100 @@ def test_solve_integer_examples():
     assert x is not None and A.mul_vec(x) == [-2]
     assert solve_integer(IntMatrix.from_rows([[0]]), [1]) is None
     assert solve_integer(IntMatrix.identity(2), [3, 5]) == [3, 5]
+
+
+def random_solve_matrix(rng):
+    """0-6 rows and columns: random entries, or a torsion diagonal mixed by
+    unimodular row and column operations, sometimes with a zero row or
+    column."""
+    r, c = rng.randint(0, 6), rng.randint(0, 6)
+    if rng.random() < 0.5:
+        rows = [[rng.randint(-5, 5) for _ in range(c)] for _ in range(r)]
+    else:
+        rows = [[0] * c for _ in range(r)]
+        for i in range(min(r, c)):
+            rows[i][i] = rng.choice((0, 1, 2, 3, 4, 6, 12))
+        for _ in range(6):
+            k = rng.randint(-2, 2)
+            if r >= 2:
+                i, j = rng.sample(range(r), 2)
+                rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
+            if c >= 2:
+                i, j = rng.sample(range(c), 2)
+                for row in rows:
+                    row[i] += k * row[j]
+    if r and rng.random() < 0.25:
+        rows[rng.randrange(r)] = [0] * c
+    if c and rng.random() < 0.25:
+        j = rng.randrange(c)
+        for row in rows:
+            row[j] = 0
+    return IntMatrix(r, c, rows)
+
+
+def right_hand_sides(rng, A):
+    """Random vectors, vectors A*x, and A*x divided by the gcd of its
+    entries (solvable only after scaling back)."""
+    out = []
+    for _ in range(3):
+        out.append([rng.randint(-6, 6) for _ in range(A.rows)])
+        b = A.mul_vec([rng.randint(-3, 3) for _ in range(A.cols)])
+        out.append(b)
+        g = 0
+        for v in b:
+            g = gcd(g, v)
+        if g > 1:
+            out.append([v // g for v in b])
+    return out
+
+
+def test_snf_solve_paths_match_loop_oracles():
+    rng = random.Random(606)
+    for _ in range(250):
+        A = random_solve_matrix(rng)
+        snf = smith_normal_form(A)
+        for b in right_hand_sides(rng, A):
+            x = snf.solve(b)
+            assert (x is None) == (loop_solve(snf, b) is None)
+            assert x is None or A.mul_vec(x) == b
+            n = snf.minimal_multiple(b)
+            assert n == loop_minimal_multiple(snf, b)
+            if n is not None:
+                assert snf.solve([n * v for v in b]) is not None
+                if n <= 12:
+                    assert all(snf.solve([m * v for v in b]) is None
+                               for m in range(1, n))
+        At = A.transpose()
+        tsnf = smith_normal_form(At)
+        for vec in right_hand_sides(rng, At):
+            assert snf.in_row_lattice(vec) == row_lattice_by_transpose(tsnf,
+                                                                       vec)
+
+
+def test_snf_matches_sympy_invariant_factors():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+    rng = random.Random(234)
+    for _ in range(234):
+        A = random_solve_matrix(rng)
+        M = sympy.Matrix(A.rows, A.cols, [x for row in A.to_rows()
+                                          for x in row])
+        expected = [abs(int(d)) for d in invariant_factors(M, domain=sympy.ZZ)
+                    if d]
+        assert [d for d in smith_normal_form(A).diagonal if d] == expected
+
+
+def test_sympy_is_not_a_runtime_import():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "src")
+    code = ("import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import kahlercheck.cli\n"
+            "kahlercheck.cli.main(['surface', 'orbifold', '2', '3,3'])\n"
+            "assert 'sympy' not in sys.modules\n")
+    done = subprocess.run([sys.executable, "-c", code, src],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_solve_rational_examples():
