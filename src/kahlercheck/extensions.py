@@ -208,8 +208,7 @@ def pushout_extension(E, n):
     for j, src in enumerate(E.base_relator_sources):
         letters = [(back[g], e) for g, e in E.base.relators[j].letters]
         for l, c in enumerate(E.central_indices):
-            letters.extend([(c, -_sign(n * E.lift_vectors[j][l]))]
-                           * abs(n * E.lift_vectors[j][l]))
+            _extend_power(letters, c, -n * E.lift_vectors[j][l])
         lifted[src] = free_reduce(letters).cyclically_reduced()
     relators = []
     for idx, rel in enumerate(total.relators):
@@ -218,8 +217,9 @@ def pushout_extension(E, n):
                               name="%s_pushout_%d" % (total.name, n))
 
 
-def _sign(x):
-    return 1 if x > 0 else -1 if x < 0 else 0
+def _extend_power(letters, g, k):
+    """Append the letters of generator g to the power k."""
+    letters.extend([(g, 1 if k > 0 else -1)] * abs(k))
 
 
 def section_search(E, n):
@@ -255,7 +255,7 @@ def _validate_section(E, n, witness):
     for i, w in enumerate(witness):
         letters = [(base_positions[i], 1)]
         for l, c in enumerate(E.central_indices):
-            letters.extend([(c, _sign(w[l]))] * abs(w[l]))
+            _extend_power(letters, c, w[l])
         images.append(free_reduce(letters))
     hom = GroupHom(source=E.base, target=target, images=tuple(images),
                    name="section")
@@ -298,7 +298,7 @@ def canonical_class2_extension(p, dim_budget=DEFAULT_DIM_BUDGET):
         letters = []
         for j in range(g):
             e = vinv[i, j]
-            letters.extend([(j, _sign(e))] * abs(e))
+            _extend_power(letters, j, e)
         basis_words.append(free_reduce(letters))
 
     pair_list = [(s, t) for s in range(b1) for t in range(s + 1, b1)]
@@ -348,7 +348,7 @@ def canonical_class2_extension(p, dim_budget=DEFAULT_DIM_BUDGET):
     for (s, t), v in zip(pair_list, lift_vectors):
         letters = list(commutator(Word(((s, 1),)), Word(((t, 1),))).letters)
         for l in range(k2):
-            letters.extend([(nb + l, -_sign(v[l]))] * abs(v[l]))
+            _extend_power(letters, nb + l, -v[l])
         relators.append(letters)
     for s in range(nb):
         for l in range(k2):

@@ -333,6 +333,16 @@ def _commutator_pair(word):
     return None
 
 
+def _surface_relator(g):
+    """The letters of [a_1, a_{g+1}] ... [a_g, a_{2g}], a cyclic word.
+
+    >>> _surface_relator(1)
+    ((0, 1), (1, 1), (0, -1), (1, -1))
+    """
+    return tuple(letter for i in range(g)
+                 for letter in ((i, 1), (g + i, 1), (i, -1), (g + i, -1)))
+
+
 def surface_genus(p):
     """Genus g if p is the standard one-relator surface presentation
     [a1, a_{g+1}] ... [a_g, a_{2g}], else None."""
@@ -340,10 +350,7 @@ def surface_genus(p):
     if n == 0 or n % 2 or len(p.relators) != 1:
         return None
     g = n // 2
-    expected = Word()
-    for i in range(g):
-        expected = expected * commutator(Word(((i, 1),)), Word(((g + i, 1),)))
-    return g if p.relators[0] == expected.cyclically_reduced() else None
+    return g if p.relators[0].letters == _surface_relator(g) else None
 
 
 def verify_hom(h, level, nilpotency_class=0, dim_budget=DEFAULT_DIM_BUDGET):
@@ -699,14 +706,13 @@ def parse_presentation(text):
     Accepts either a full ``group NAME { ... }`` block or the bare body
     ``gens: ...; rels: ...;``.
     """
-    probe = _Parser(text)
-    if probe.peek()[:2] == ("name", "gens"):
-        parser = _Parser(text)
+    parser = _Parser(text)
+    if parser.peek()[:2] == ("name", "gens"):
         block = parser.parse_group_body("G")
         if parser.peek()[0] != "eof":
             parser.error("trailing input after presentation")
         return block.presentation
-    parsed = parse_file(text)
+    parsed = parser.parse_file()
     if parsed.homs or len(parsed.groups) != 1:
         raise ValueError("expected exactly one group block")
     (block,) = parsed.groups.values()
@@ -727,9 +733,10 @@ def word_str(p, word):
     """Render a word over p's generator names, powers condensed."""
     if word.is_identity():
         return "1"
+    names = p.generator_names
     parts = []
     for g, e in word.syllables():
-        name = p.generator_names[g]
+        name = names[g]
         parts.append(name if e == 1 else "%s^%d" % (name, e))
     return " ".join(parts)
 

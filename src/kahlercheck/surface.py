@@ -19,8 +19,9 @@ from .extensions import (ExtensionShapeError, class_and_torsion,
                          recognize_extension)
 from .homology import h1
 from .intlinalg import IntMatrix, cokernel
-from .presentation import (EXACT, Word, build_presentation, commutator,
-                           free_reduce, surface_genus, verify_hom)
+from .presentation import (EXACT, Word, _inverse_letters, _surface_relator,
+                           build_presentation, free_reduce, surface_genus,
+                           verify_hom)
 
 
 @dataclass(frozen=True)
@@ -45,10 +46,8 @@ def surface_group(g):
     if g < 1:
         raise ValueError("genus must be >= 1")
     names = ["a%d" % (i + 1) for i in range(2 * g)]
-    rel = Word()
-    for i in range(g):
-        rel = rel * commutator(Word(((i, 1),)), Word(((g + i, 1),)))
-    pres = build_presentation(names, [rel], name="gamma%d" % g)
+    pres = build_presentation(names, [Word(_surface_relator(g))],
+                              name="gamma%d" % g)
     return SurfaceGroup(genus=g, presentation=pres)
 
 
@@ -60,17 +59,11 @@ def orbifold_group(g, orders):
     orders = tuple(int(m) for m in orders)
     if any(m < 2 for m in orders):
         raise ValueError("cone orders must be >= 2")
-    r = len(orders)
+    cones = tuple((2 * g + j, 1) for j in range(len(orders)))
     names = ["a%d" % (i + 1) for i in range(2 * g)] + \
-            ["q%d" % (j + 1) for j in range(r)]
-    rel = Word()
-    for i in range(g):
-        rel = rel * commutator(Word(((i, 1),)), Word(((g + i, 1),)))
-    for j in range(r):
-        rel = rel * Word(((2 * g + j, 1),))
-    relators = [rel]
-    for j, m in enumerate(orders):
-        relators.append(Word(((2 * g + j, 1),) * m))
+            ["q%d" % (j + 1) for j in range(len(orders))]
+    relators = [Word(_surface_relator(g) + cones)]
+    relators += [Word((q,) * m) for q, m in zip(cones, orders)]
     pres = build_presentation(names, relators,
                         name="orb_g%d_%s" % (g, "_".join(map(str, orders))))
     return OrbifoldSurfaceGroup(genus=g, orders=orders, presentation=pres)
@@ -80,53 +73,50 @@ def orbifold_group(g, orders):
 # Dehn's algorithm
 
 
-def _rotations_with_inverse(relator):
-    rots = []
-    letters = relator.letters
-    n = len(letters)
-    for w in (letters, relator.inverse().letters):
-        for s in range(n):
-            rots.append(w[s:] + w[:s])
-    return rots
-
-
 def dehn_trivial(g, word):
     """Decide triviality in the genus-g surface group, g >= 2.
 
     Greedy shortening with the leftmost longest match against the
-    precomputed rotations of the relator and its inverse; each replacement
+    rotations of the relator and then of its inverse; rotation s is read
+    at offset s of the doubled relator, and only the rotations that begin
+    with the word's letter at a start are tried there.  Each replacement
     strictly shortens the word, so this terminates, and small cancellation
     makes it complete.
     """
     if g < 2:
         raise ValueError("Dehn's algorithm needs genus >= 2")
-    relator = surface_group(g).relator
-    rots = _rotations_with_inverse(relator)
-    half = len(relator) // 2  # match length must exceed this
+    relator = _surface_relator(g)
+    size = len(relator)
+    half = size // 2  # match length must exceed this
+    starting = {}  # letter -> [(doubled relator, offset)] in rotation order
+    for rel in (relator, _inverse_letters(relator)):
+        doubled_rel = rel + rel
+        for s, letter in enumerate(rel):
+            starting.setdefault(letter, []).append((doubled_rel, s))
     w = word.cyclically_reduced()
     while not w.is_identity():
         letters = w.letters
         n = len(letters)
-        best = None  # (start, length, rotation)
+        best = None  # (start, length, doubled relator, offset)
         # search on the doubled word so cyclic subwords are visible
         doubled = letters + letters
-        limit = min(len(relator), n)
+        limit = min(size, n)
         for start in range(n):
-            for rot in rots:
+            for rel, s in starting.get(letters[start], ()):
                 length = 0
-                while (length < limit and length < len(rot)
-                       and doubled[start + length] == rot[length]):
+                while (length < limit
+                       and doubled[start + length] == rel[s + length]):
                     length += 1
                 if length > half and (best is None or length > best[1]):
-                    best = (start, length, rot)
+                    best = (start, length, rel, s)
             if best is not None and best[0] == start and best[1] == limit:
                 break
         if best is None:
             return False
-        start, length, rot = best
-        # u matches rot[:length]; replace u by inverse(rot[length:])
-        tail = Word(rot[length:])
-        replacement = tail.inverse().letters
+        start, length, rel, s = best
+        # u matches the rotation's first length letters; replace u by the
+        # inverse of the rest of the rotation
+        replacement = _inverse_letters(rel[s + length:s + size])
         rest = doubled[start + length:start + n]
         w = free_reduce(replacement + rest).cyclically_reduced()
     return True

@@ -240,3 +240,40 @@ def row_lattice_by_transpose(snf_of_transpose, vec):
     """Is vec an integer combination of the rows of A?  Solve A^T*y = vec
     with the Smith form of A^T."""
     return loop_solve(snf_of_transpose, list(vec)) is not None
+
+
+def greedy_dehn(g, letters):
+    """Dehn's algorithm in the genus-g surface group on a raw letter tuple,
+    as first written: every pass tries all 8g rotations of the relator and
+    its inverse, each materialized, at every start of the doubled word and
+    replaces the leftmost longest match of more than half a rotation."""
+    relator = []
+    for i in range(g):
+        relator += [(i, 1), (g + i, 1), (i, -1), (g + i, -1)]
+    inverse = [(x, -e) for x, e in reversed(relator)]
+    rots = [tuple(w[s:] + w[:s]) for w in (relator, inverse)
+            for s in range(len(w))]
+    half = len(relator) // 2
+    w = list(slicing_cyclic_reduction(free_reduce(letters).letters))
+    while w:
+        n = len(w)
+        doubled = w + w
+        limit = min(len(relator), n)
+        best = None
+        for start in range(n):
+            for rot in rots:
+                length = 0
+                while length < limit and doubled[start + length] == rot[length]:
+                    length += 1
+                if length > half and (best is None or length > best[1]):
+                    best = (start, length, rot)
+            if best is not None and best[0] == start and best[1] == limit:
+                break
+        if best is None:
+            return False
+        start, length, rot = best
+        replacement = [(x, -e) for x, e in reversed(rot[length:])]
+        rest = doubled[start + length:start + n]
+        w = list(slicing_cyclic_reduction(
+            free_reduce(replacement + rest).letters))
+    return True

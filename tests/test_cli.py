@@ -4,8 +4,9 @@ import time
 
 import pytest
 
-from kahlercheck.cli import (CONSISTENT, INCONCLUSIVE, NOT_KAHLER,
-                             NOT_KAHLER_HOM, _overall, emit_report, main)
+from kahlercheck.battery import (CONSISTENT, INCONCLUSIVE, NOT_KAHLER,
+                                 NOT_KAHLER_HOM, overall)
+from kahlercheck.cli import emit_report, main
 from kahlercheck.intlinalg import IntMatrix
 from kahlercheck.presentation import parse_file
 
@@ -171,11 +172,11 @@ def test_json_round_trips(capsys):
 
 
 def test_overall_rules():
-    assert _overall([], NOT_KAHLER) == INCONCLUSIVE
+    assert overall([], NOT_KAHLER) == INCONCLUSIVE
     fired = [{"verdict": NOT_KAHLER}, {"verdict": CONSISTENT}]
-    assert _overall(fired, NOT_KAHLER) == NOT_KAHLER
+    assert overall(fired, NOT_KAHLER) == NOT_KAHLER
     calm = [{"verdict": CONSISTENT}, {"verdict": INCONCLUSIVE}]
-    assert _overall(calm, NOT_KAHLER) == CONSISTENT
+    assert overall(calm, NOT_KAHLER) == CONSISTENT
 
 
 def test_fired_witnesses_revalidate(capsys):
@@ -305,7 +306,7 @@ def test_ext_central_flag_overrides(tmp_path, capsys):
 
 def test_overall_all_inconclusive():
     calm = [{"verdict": INCONCLUSIVE}, {"verdict": INCONCLUSIVE}]
-    assert _overall(calm, NOT_KAHLER) == INCONCLUSIVE
+    assert overall(calm, NOT_KAHLER) == INCONCLUSIVE
 
 
 @pytest.mark.parametrize("value", ["0", "1000000000"])
@@ -336,14 +337,26 @@ def test_scan_n_accepts_the_cap(capsys):
                  "hom f : z3 -> z { a => t }\n"}, ["hom", "bad.hom"],
      "relator 0"),
     ({}, ["surface", "orbifold", "1", "1"], "cone orders must be >= 2"),
+    ({"g.grp": "group g { gens: x,y,c; rels: [x,y]c^-1, [x,c], [y,c]; }"},
+     ["ext", "g.grp", "--central", "z"], "no generator named 'z'"),
+    ({}, ["surface", "gamma", "1000000000"], "genus must be at most 64"),
+    ({}, ["surface", "wordtest", "1000000000", "a1"],
+     "genus must be at most 64"),
+    ({}, ["surface", "orbifold", "1", "1000000000"],
+     "sum of cone orders must be at most 1000000"),
+    ({}, ["surface", "orbifold", "1", ",".join(["2"] * 65)],
+     "number of cone points must be at most 64"),
 ], ids=["parse_error", "missing_file", "failed_verification",
-        "bad_cone_order"])
+        "bad_cone_order", "unknown_central", "huge_genus", "huge_wordtest",
+        "huge_cone_order", "too_many_cone_points"])
 def test_rejected_input_exits_one(files, argv, message, tmp_path, monkeypatch,
                                   capsys):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
         (tmp_path / name).write_text(text)
+    start = time.perf_counter()
     code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
     assert code == 1 and out == ""
     assert err.startswith("error: ") and message in err
 

@@ -4,7 +4,8 @@ The graded ranks of the surface group are validated against the PBW
 extraction from the known Hilbert series of its enveloping algebra; the
 degree-1/2 agreement between the group pipeline (Magnus ideal) and the
 quadratic pipeline (cup-product duality) is exercised on random
-presentations; and the CLI is re-run in a subprocess with a different
+presentations, as are lcs_n <= hol_n and truncation (the ranks at a lower
+degree are the leading ranks at a higher one); and the CLI is re-run in a subprocess with a different
 hash seed to confirm reports do not depend on interpreter state.
 """
 
@@ -13,6 +14,9 @@ import os
 import random
 import subprocess
 import sys
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kahlercheck.homology import h1
 from kahlercheck.lieranks import holonomy_ranks, lcs_ranks
@@ -84,6 +88,32 @@ def test_degree_one_two_agreement_on_random_presentations():
         hol = holonomy_ranks(p, 2)
         assert lcs[1] == hol[1] == h1(p).rank
         assert lcs[2] == hol[2]
+
+
+@st.composite
+def small_presentations(draw):
+    """<= 3 generators and <= 2 short relators, freely and cyclically
+    reduced (possibly none left)."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    letter = st.tuples(st.integers(min_value=0, max_value=n - 1),
+                       st.sampled_from((1, -1)))
+    words = draw(st.lists(st.lists(letter, min_size=1, max_size=6),
+                          max_size=2))
+    relators = [w.cyclically_reduced() for w in map(free_reduce, words)]
+    return build_presentation(["g%d" % i for i in range(n)],
+                              [r for r in relators if not r.is_identity()],
+                              name="random")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_presentations(), st.integers(min_value=2, max_value=4))
+def test_lcs_ranks_bounded_by_holonomy_and_truncation_compatible(p, degree):
+    lcs = lcs_ranks(p, degree)
+    hol = holonomy_ranks(p, degree)
+    assert all(lcs[n] <= hol[n] for n in range(1, degree + 1))
+    for lower in range(1, degree):
+        assert lcs_ranks(p, lower).ranks == lcs.ranks[:lower]
+        assert holonomy_ranks(p, lower).ranks == hol.ranks[:lower]
 
 
 def test_reports_stable_across_processes():

@@ -16,7 +16,7 @@ from kahlercheck.surface import (dehn_trivial, maximal_surface_map_check,
                                  orbifold_group, orbifold_kernel_h1_check,
                                  surface_base_verdict, surface_group)
 
-from _oracles import orbifold_kernel_order, random_word
+from _oracles import greedy_dehn, orbifold_kernel_order, random_word
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +125,39 @@ def test_dehn_agrees_with_nilpotent_quotient():
             random_word(rng, 4, rng.randint(0, 6)))
         assert dehn_trivial(2, w)
         assert alg.element_is_trivial(w)
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_dehn_matches_the_rotation_list_oracle(g):
+    # normal-closure words, random words, and commutators of random words
+    # (zero exponent sums, so H1 cannot tell)
+    rng = random.Random(7000 + g)
+    sg = surface_group(g)
+    R = sg.relator
+    words = []
+    for _ in range(40):
+        w = Word()
+        for _ in range(rng.randint(1, 4)):
+            conj = random_word(rng, 2 * g, rng.randint(0, 8))
+            piece = R if rng.random() < 0.5 else R.inverse()
+            w = w * piece.conjugated_by(conj)
+        words.append(w)
+        words.append(random_word(rng, 2 * g, rng.randint(1, 30)))
+        u = random_word(rng, 2 * g, rng.randint(1, 6))
+        v = random_word(rng, 2 * g, rng.randint(1, 6))
+        words.append(u * v * u.inverse() * v.inverse())
+    verdicts = [dehn_trivial(g, w) for w in words]
+    assert verdicts == [greedy_dehn(g, w.letters) for w in words]
+    assert verdicts.count(True) >= 40
+
+
+def test_surface_commands_take_the_cap(capsys):
+    assert main(["surface", "gamma", "64"]) == 0
+    assert "a128^-1;" in capsys.readouterr().out
+    assert main(["surface", "orbifold", "64", ",".join(["2"] * 64)]) == 0
+    assert "free rank 128" in capsys.readouterr().out
+    assert main(["surface", "wordtest", "64", "[a1,a65]"]) == 0
+    assert capsys.readouterr().out == "nontrivial\n"
 
 
 # ---------------------------------------------------------------------------
