@@ -52,6 +52,7 @@ class CentralExtension:
     total: Presentation
     central_names: tuple
     central_indices: tuple
+    base_indices: tuple           # position in total of each base generator
     base: Presentation
     lift_vectors: tuple           # one Z^k tuple per base relator
     base_exponent_matrix: IntMatrix
@@ -122,10 +123,10 @@ def recognize_extension(p, central_names, dim_budget=DEFAULT_DIM_BUDGET):
                     "missing centrality relator for [%s, %s]"
                     % (p.generator_names[g], p.generator_names[c]))
 
-    base_gen_indices = [i for i in range(p.num_generators)
-                        if i not in central_set]
-    reindex = {old: new for new, old in enumerate(base_gen_indices)}
-    base_names = [p.generator_names[i] for i in base_gen_indices]
+    base_indices = tuple(i for i in range(p.num_generators)
+                         if i not in central_set)
+    reindex = {old: new for new, old in enumerate(base_indices)}
+    base_names = [p.generator_names[i] for i in base_indices]
     base_relators = []
     lift_vectors = []
     sources = []
@@ -152,6 +153,7 @@ def recognize_extension(p, central_names, dim_budget=DEFAULT_DIM_BUDGET):
         total=p,
         central_names=tuple(central_names),
         central_indices=central_indices,
+        base_indices=base_indices,
         base=base,
         lift_vectors=tuple(lift_vectors),
         base_exponent_matrix=base.exponent_matrix(),
@@ -201,12 +203,10 @@ def pushout_extension(E, n):
     if n < 1:
         raise ValueError("n must be >= 1")
     total = E.total
-    back = {new: old for new, old in
-            enumerate(i for i in range(total.num_generators)
-                      if i not in set(E.central_indices))}
     lifted = {}
     for j, src in enumerate(E.base_relator_sources):
-        letters = [(back[g], e) for g, e in E.base.relators[j].letters]
+        letters = [(E.base_indices[g], e)
+                   for g, e in E.base.relators[j].letters]
         for l, c in enumerate(E.central_indices):
             _extend_power(letters, c, -n * E.lift_vectors[j][l])
         lifted[src] = free_reduce(letters).cyclically_reduced()
@@ -249,11 +249,9 @@ def section_search(E, n):
 
 def _validate_section(E, n, witness):
     target = pushout_extension(E, n)
-    base_positions = [i for i in range(E.total.num_generators)
-                      if i not in set(E.central_indices)]
     images = []
     for i, w in enumerate(witness):
-        letters = [(base_positions[i], 1)]
+        letters = [(E.base_indices[i], 1)]
         for l, c in enumerate(E.central_indices):
             _extend_power(letters, c, w[l])
         images.append(free_reduce(letters))

@@ -310,13 +310,9 @@ class TruncatedQuotientAlgebra:
             vec = series_or_vec
         return self._ideal.reduce(vec)
 
-    def nf_is_zero(self, series_or_vec):
-        return not self.nf(series_or_vec)
-
     def element_is_trivial(self, word):
         """Is the word trivial in the class-d rational nilpotent quotient?"""
-        return self.nf_is_zero(
-            magnus_minus_one(word, self.degree, self.num_gens))
+        return not self.nf(magnus_minus_one(word, self.degree, self.num_gens))
 
     # -- graded structure ---------------------------------------------------
 

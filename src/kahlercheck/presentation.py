@@ -440,7 +440,6 @@ class GroupBlock:
 class ParsedFile:
     groups: dict = field(default_factory=dict)
     homs: dict = field(default_factory=dict)
-    order: list = field(default_factory=list)
 
 
 _TOKEN_RE = re.compile(
@@ -475,13 +474,7 @@ def _tokenize(text):
 
 
 _MAX_WORD_NESTING = 64
-_MAX_WORD_LETTERS = 1_000_000  # letters one word may be built from
-
-
-def _check_letters(total, line, col):
-    if total > _MAX_WORD_LETTERS:
-        raise ParseError("word longer than %d letters" % _MAX_WORD_LETTERS,
-                         line, col)
+_MAX_WORD_LETTERS = 1_000_000  # letters the words of one input may hold
 
 
 class _Parser:
@@ -489,6 +482,12 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
+        self.letters = 0  # in the finished top-level words
+
+    def check_letters(self, total, line, col):
+        if self.letters + total > _MAX_WORD_LETTERS:
+            raise ParseError("word longer than %d letters, counting the "
+                             "words before it" % _MAX_WORD_LETTERS, line, col)
 
     def peek(self):
         if self.pos < len(self.tokens):
@@ -522,10 +521,11 @@ class _Parser:
         self.depth += 1
         if self.depth > _MAX_WORD_NESTING:
             self.error("word nesting deeper than %d" % _MAX_WORD_NESTING)
-        try:
-            return self._parse_word_body(gen_index)
-        finally:
-            self.depth -= 1
+        word = self._parse_word_body(gen_index)
+        self.depth -= 1
+        if not self.depth:
+            self.letters += len(word)
+        return word
 
     def _parse_word_body(self, gen_index):
         letters = []  # freely reduced so far
@@ -547,7 +547,7 @@ class _Parser:
                 u = self.parse_word(gen_index)
                 self.expect("punct", ",")
                 v = self.parse_word(gen_index)
-                _check_letters(2 * (len(u) + len(v)), line, col)
+                self.check_letters(2 * (len(u) + len(v)), line, col)
                 self.expect("punct", "]")
                 term = commutator(u, v).letters
             elif kind == "int" and value == "1":
@@ -557,7 +557,7 @@ class _Parser:
                 self.error("expected a word")
             else:
                 break
-            _check_letters(len(letters) + len(term), line, col)
+            self.check_letters(len(letters) + len(term), line, col)
             _extend_reduced(letters, term)
             first = False
         return Word(tuple(letters))
@@ -570,7 +570,7 @@ class _Parser:
             self.next()
             _, text, line, col = self.expect("int")
             n = int(text)
-            _check_letters(len(base) * abs(n), line, col)
+            self.check_letters(len(base) * abs(n), line, col)
             return (Word(base) ** n).letters
         return base
 
@@ -646,7 +646,6 @@ class _Parser:
                 block = self.parse_group_body(name)
                 self.expect("punct", "}")
                 parsed.groups[name] = block
-                parsed.order.append(("group", name))
             elif (kind, value) == ("name", "hom"):
                 self.next()
                 name = self.expect("name")[1]
@@ -688,7 +687,6 @@ class _Parser:
                 images = tuple(assigned[n] for n in src.generator_names)
                 parsed.homs[name] = GroupHom(source=src, target=tgt,
                                              images=images, name=name)
-                parsed.order.append(("hom", name))
             else:
                 self.error("expected 'group' or 'hom'")
         return parsed

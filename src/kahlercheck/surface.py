@@ -1,11 +1,11 @@
 """Surface groups, orbifold surface groups, and Dehn's algorithm.
 
 The genus-g surface group has the single relator
-[a_1, a_{g+1}] ... [a_g, a_{2g}].  For g >= 2 every piece shared by two
-cyclic rotations of the relator (or its inverse) has length 1, far below a
-sixth of the relator length 4g, so Dehn's greedy shortening decides the
-word problem: repeatedly cyclically reduce and replace any subword that
-matches more than half of some rotation by the inverse of the complement.
+[a_1, a_{g+1}] ... [a_g, a_{2g}].  For g >= 2 two different rotations of
+the relator or its inverse begin alike in at most one letter, far below a
+sixth of its length 4g, so by small cancellation a nonempty cyclically
+reduced trivial word has a cyclic subword that is more than half of a
+rotation (Lyndon-Schupp V.4), and Dehn's algorithm decides the word problem.
 
 Orbifold surface groups add cone generators q_i with q_i^{m_i} = 1 and the
 cone product appended to the surface relator.
@@ -19,9 +19,8 @@ from .extensions import (ExtensionShapeError, class_and_torsion,
                          recognize_extension)
 from .homology import h1
 from .intlinalg import IntMatrix, cokernel
-from .presentation import (EXACT, Word, _inverse_letters, _surface_relator,
-                           build_presentation, free_reduce, surface_genus,
-                           verify_hom)
+from .presentation import (EXACT, Word, _surface_relator, build_presentation,
+                           surface_genus, verify_hom)
 
 
 @dataclass(frozen=True)
@@ -76,50 +75,60 @@ def orbifold_group(g, orders):
 def dehn_trivial(g, word):
     """Decide triviality in the genus-g surface group, g >= 2.
 
-    Greedy shortening with the leftmost longest match against the
-    rotations of the relator and then of its inverse; rotation s is read
-    at offset s of the doubled relator, and only the rotations that begin
-    with the word's letter at a start are tried there.  Each replacement
-    strictly shortens the word, so this terminates, and small cancellation
-    makes it complete.
+    A piece is 2g+1 letters of a rotation of the relator R or R^-1: more
+    than half, and the inverse of the rest of the rotation.  The letters of
+    the cyclically reduced word go onto a stack, cancelling against the
+    top, and a piece on top is replaced by that shorter inverse.  The
+    cyclic tail moves letters from the front to the back the same way until
+    2g moves in a row change nothing: every window across the ends has been
+    on top, so the cyclic word is reduced with no piece and, by Dehn's
+    theorem, trivial only if it is empty.  At most 2g moves lie between two
+    shortenings, so the run is linear (Domanski-Anshel 1985).
+
+    >>> w = Word(_surface_relator(2)) ** 3
+    >>> dehn_trivial(2, w), dehn_trivial(2, w * Word(((0, 1),)))
+    (True, False)
     """
     if g < 2:
         raise ValueError("Dehn's algorithm needs genus >= 2")
-    relator = _surface_relator(g)
-    size = len(relator)
-    half = size // 2  # match length must exceed this
-    starting = {}  # letter -> [(doubled relator, offset)] in rotation order
-    for rel in (relator, _inverse_letters(relator)):
-        doubled_rel = rel + rel
-        for s, letter in enumerate(rel):
-            starting.setdefault(letter, []).append((doubled_rel, s))
-    w = word.cyclically_reduced()
-    while not w.is_identity():
-        letters = w.letters
-        n = len(letters)
-        best = None  # (start, length, doubled relator, offset)
-        # search on the doubled word so cyclic subwords are visible
-        doubled = letters + letters
-        limit = min(size, n)
-        for start in range(n):
-            for rel, s in starting.get(letters[start], ()):
-                length = 0
-                while (length < limit
-                       and doubled[start + length] == rel[s + length]):
-                    length += 1
-                if length > half and (best is None or length > best[1]):
-                    best = (start, length, rel, s)
-            if best is not None and best[0] == start and best[1] == limit:
-                break
-        if best is None:
-            return False
-        start, length, rel, s = best
-        # u matches the rotation's first length letters; replace u by the
-        # inverse of the rest of the rotation
-        replacement = _inverse_letters(rel[s + length:s + size])
-        rest = doubled[start + length:start + n]
-        w = free_reduce(replacement + rest).cyclically_reduced()
-    return True
+    width = 2 * g + 1
+    # a_i^e as the int 2i + (e < 0), so that x ^ 1 is the inverse of x
+    code = {(i, e): 2 * i + (e < 0) for i in range(2 * g) for e in (1, -1)}
+    if not code.keys() >= set(word.letters):
+        raise ValueError("letter outside a1..a%d" % (2 * g))
+    relator = [code[x] for x in _surface_relator(g)]
+    pieces = [[] for _ in code]  # each letter begins one of R, one of R^-1
+    for rel in (relator, [x ^ 1 for x in reversed(relator)]):
+        doubled = rel + rel
+        for s, x in enumerate(rel):
+            # the rest inverted, in the order the pending stack pops it
+            rest = [y ^ 1 for y in doubled[s + width:s + len(rel)]]
+            pieces[x].append((doubled[s:s + width], rest))
+    stack = []
+
+    def push(pending, floor):
+        """Push the pending letters, last first, on the stack above floor."""
+        while pending:
+            x = pending.pop()
+            if len(stack) > floor and stack[-1] == x ^ 1:
+                stack.pop()
+                continue
+            stack.append(x)
+            if len(stack) - floor >= width:
+                for piece, rest in pieces[stack[-width]]:
+                    if x == piece[-1] and stack[-width:] == piece:
+                        del stack[-width:]
+                        pending += rest
+                        break
+
+    push([code[x] for x in reversed(word.cyclically_reduced().letters)], 0)
+    head = quiet = 0  # the word is stack[head:]; a change shortens it
+    while quiet < 2 * g and head < len(stack):
+        size = len(stack) - head
+        head += 1
+        push([stack[head - 1]], head)
+        quiet = quiet + 1 if len(stack) - head == size else 0
+    return head == len(stack)
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +249,7 @@ def maximal_surface_map_check(h, central_names, maximality_asserted=False):
         raise ExtensionShapeError(
             "source does not present a central extension over the "
             "genus-%d surface group" % g)
-    base_positions = [i for i in range(h.source.num_generators)
-                      if i not in set(E.central_indices)]
-    for pos, i in enumerate(base_positions):
+    for pos, i in enumerate(E.base_indices):
         if verified.images[i] != Word(((pos, 1),)):
             raise ExtensionShapeError(
                 "map is not the canonical projection: generator %s"

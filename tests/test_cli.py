@@ -346,9 +346,13 @@ def test_scan_n_accepts_the_cap(capsys):
      "sum of cone orders must be at most 1000000"),
     ({}, ["surface", "orbifold", "1", ",".join(["2"] * 65)],
      "number of cone points must be at most 64"),
+    ({"big.grp": "group g { gens: a, b; rels: %s; }"
+                 % ", ".join(["a^999999 b"] * 8)}, ["analyze", "big.grp"],
+     "big.grp: line 1, column 43: word longer than 1000000 letters, "
+     "counting the words before it"),
 ], ids=["parse_error", "missing_file", "failed_verification",
         "bad_cone_order", "unknown_central", "huge_genus", "huge_wordtest",
-        "huge_cone_order", "too_many_cone_points"])
+        "huge_cone_order", "too_many_cone_points", "file_letter_cap"])
 def test_rejected_input_exits_one(files, argv, message, tmp_path, monkeypatch,
                                   capsys):
     monkeypatch.chdir(tmp_path)

@@ -2,6 +2,8 @@ import dataclasses
 import json
 import math
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -11,7 +13,8 @@ from kahlercheck.extensions import (ExtensionShapeError, class_and_torsion,
 from kahlercheck.homology import h1
 from kahlercheck.lieranks import build_quotient_algebra
 from kahlercheck.presentation import (GroupHom, Word, free_abelian_rank,
-                                      parse_file, parse_word_in, word_str)
+                                      free_reduce, parse_file, parse_word_in,
+                                      word_str)
 from kahlercheck.surface import (dehn_trivial, maximal_surface_map_check,
                                  orbifold_group, orbifold_kernel_h1_check,
                                  surface_base_verdict, surface_group)
@@ -69,6 +72,10 @@ def test_dehn_relator_and_short_words():
     assert dehn_trivial(2, Word())
     with pytest.raises(ValueError):
         dehn_trivial(1, Word())
+    # a letter outside a1..a4, alone or inside a relator, or a bad exponent
+    for letters in (((4, 1),), sg.relator.letters + ((4, -1),), ((0, 2),)):
+        with pytest.raises(ValueError, match="outside a1..a4"):
+            dehn_trivial(2, Word(letters))
 
 
 def test_dehn_conjugate_products():
@@ -127,13 +134,9 @@ def test_dehn_agrees_with_nilpotent_quotient():
         assert alg.element_is_trivial(w)
 
 
-@pytest.mark.parametrize("g", [2, 3, 4])
-def test_dehn_matches_the_rotation_list_oracle(g):
-    # normal-closure words, random words, and commutators of random words
-    # (zero exponent sums, so H1 cannot tell)
-    rng = random.Random(7000 + g)
-    sg = surface_group(g)
-    R = sg.relator
+def mixed_words(rng, g, R):
+    """Normal-closure words, random words, and commutators of random words
+    (zero exponent sums, so H1 cannot tell)."""
     words = []
     for _ in range(40):
         w = Word()
@@ -146,9 +149,59 @@ def test_dehn_matches_the_rotation_list_oracle(g):
         u = random_word(rng, 2 * g, rng.randint(1, 6))
         v = random_word(rng, 2 * g, rng.randint(1, 6))
         words.append(u * v * u.inverse() * v.inverse())
+    return words
+
+
+def heavy_words(rng, g, R):
+    """Products of up to 40 relator conjugates, long powers of rotations,
+    and runs of rotation prefixes about half the relator long, each with
+    or without one letter changed (a near miss)."""
+    rotations = [Word(r.letters[s:] + r.letters[:s])
+                 for r in (R, R.inverse()) for s in range(len(R))]
+    letter = Word(((rng.randrange(2 * g), 1),))
+    words = []
+    for _ in range(8):
+        w = Word()
+        for _ in range(rng.randint(20, 40)):
+            conj = random_word(rng, 2 * g, rng.randint(0, 3))
+            w = w * rng.choice(rotations).conjugated_by(conj)
+        words += [w, w * letter]
+        rot = rng.choice(rotations)
+        k = rng.randint(5, 30)
+        words += [rot ** k, rot ** k * letter, (rot * letter) ** k]
+        prefixes = []
+        for _ in range(rng.randint(2, 8)):
+            part = list(rng.choice(rotations).letters[:rng.randint(
+                2 * g - 1, 2 * g + 2)])
+            if rng.random() < 0.3:
+                part[rng.randrange(len(part))] = (rng.randrange(2 * g),
+                                                  rng.choice((1, -1)))
+            prefixes += part
+        words.append(free_reduce(prefixes))
+    return words
+
+
+@pytest.mark.parametrize("g,family", [
+    pytest.param(g, mixed_words, id=str(g)) for g in (2, 3, 4)] + [
+    pytest.param(g, heavy_words, id="heavy-%d" % g) for g in range(2, 7)])
+def test_dehn_matches_the_rotation_list_oracle(g, family):
+    rng = random.Random(7000 + g if family is mixed_words else 8000 + g)
+    words = family(rng, g, surface_group(g).relator)
     verdicts = [dehn_trivial(g, w) for w in words]
     assert verdicts == [greedy_dehn(g, w.letters) for w in words]
-    assert verdicts.count(True) >= 40
+    assert verdicts.count(True) >= len(words) // 3
+
+
+@pytest.mark.parametrize("word,verdict", [
+    ("([a1,a3][a2,a4])^125000", "trivial"),
+    ("([a1,a3][a2,a4])^124999 a1", "nontrivial")], ids=["trivial", "a1"])
+def test_wordtest_is_linear_at_the_letter_cap(word, verdict):
+    # 10^6 letters; a quadratic Dehn's algorithm runs for hours on these
+    proc = subprocess.run(
+        [sys.executable, "-m", "kahlercheck.cli", "surface", "wordtest", "2",
+         word], capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == verdict + "\n"
 
 
 def test_surface_commands_take_the_cap(capsys):
